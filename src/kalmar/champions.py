@@ -8,20 +8,22 @@ exactly, the list is sorted by N, and champions are the strict running
 maxima of K.  N = 1 (empty signature, K = 1) is champion rank 1.
 
 Candidate lists can be persisted as one 'signature;N;K' line per candidate
-under a header that pins the bound and package version; stale caches are
-rejected on load.
+under a header that pins the bound and package version.  The file is replaced
+atomically; a stale or unparsable cache is rejected on load.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator
 
 from . import __version__
 from .constants import ConstantsTable
 from .errors import DomainError, ResourceLimitError
-from .exact import kalmar_macmahon
+from .exact import kalmar_macmahon, tau_star_column
 from .primes import first_primes
 
 __all__ = [
@@ -73,35 +75,55 @@ def _admissible_primes(x: int) -> list[int]:
 
 
 def enumerate_candidates(x: int, max_candidates: int = 20_000_000) -> Iterator[Candidate]:
-    """All N <= x of champion form, each once, with exact K; not in N-order."""
+    """All N <= x of champion form, each once, with exact K; not in N-order.
+
+    Each node carries tau*_m = prod_h C(a_h+m-1, a_h) for m = 1..L, where L
+    is the largest Omega in its subtree, Omega(node) + max{w : N p_next^w <= x};
+    a child multiplies it by the column C(e+m-1, e) of its new exponent e.
+    """
     if x < 1:
         raise DomainError("the bound must be >= 1")
     count = 0
+    cols: dict[int, list[int]] = {}
 
-    def emit(sig: tuple[int, ...], value: int) -> Candidate:
+    def emit(sig: tuple[int, ...], value: int, taus: list[int]) -> Candidate:
         nonlocal count
         count += 1
         if count > max_candidates:
             raise ResourceLimitError(f"more than {max_candidates} candidates")
-        return Candidate(sig, value, kalmar_macmahon(sig))
+        return Candidate(sig, value, kalmar_macmahon(sig, taus))
 
-    yield emit((), 1)
+    top = x.bit_length() - 1                  # max{w : 2^w <= x}
+    root = [1] * top
+    yield emit((), 1, root)
     primes = _admissible_primes(x)
 
-    def rec(idx: int, value: int, prefix: tuple[int, ...], prev_exp: int) -> Iterator[Candidate]:
+    def rec(idx: int, value: int, prefix: tuple[int, ...], prev_exp: int,
+            taus: list[int]) -> Iterator[Candidate]:
         p = primes[idx]
+        q = primes[idx + 1] if idx + 1 < len(primes) else 0
+        om = sum(prefix)
         v = value * p
         e = 1
         while e <= prev_exp and v <= x:
             sig = prefix + (e,)
-            yield emit(sig, v)
-            if idx + 1 < len(primes):
-                yield from rec(idx + 1, v, sig, e)
+            length = om + e
+            t = v * q
+            while q and t <= x:
+                length += 1
+                t *= q
+            col = cols.get(e)
+            if col is None:
+                col = cols[e] = tau_star_column(e, top)
+            child = list(map(mul, taus, col[:length]))
+            yield emit(sig, v, child)
+            if q:
+                yield from rec(idx + 1, v, sig, e, child)
             v *= p
             e += 1
 
     if primes:
-        yield from rec(0, 1, (), x.bit_length())
+        yield from rec(0, 1, (), x.bit_length(), root)
 
 
 def _record(rank: int, cand: Candidate, primes: list[int]) -> ChampionRecord:
@@ -237,31 +259,39 @@ def _header(x: int, count: int) -> str:
 
 
 def save_candidates(path: str, x: int, candidates: list[Candidate]) -> None:
+    """Write the cache to a temporary file beside path, then rename it into
+    place, so a reader sees the old file or the whole new one."""
     ordered = sorted(candidates, key=lambda c: c.value)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_header(x, len(ordered)) + "\n")
-        for c in ordered:
-            sig = ",".join(str(a) for a in c.signature)
-            fh.write(f"{sig};{c.value};{c.k_value}\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(_header(x, len(ordered)) + "\n")
+            for c in ordered:
+                sig = ",".join(str(a) for a in c.signature)
+                fh.write(f"{sig};{c.value};{c.k_value}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_candidates(path: str, x: int) -> list[Candidate] | None:
-    """Sorted candidate list from a cache file, or None if stale/mismatched."""
+    """Sorted candidate list from a cache file, or None if it is missing,
+    stale (other bound or version) or fails to parse in any way."""
     try:
         with open(path, encoding="ascii") as fh:
             header = fh.readline().strip()
             body = fh.read().splitlines()
-    except OSError:
+        expect_prefix = f"# kalmar-candidates X={x} version={__version__} count="
+        if not header.startswith(expect_prefix) \
+                or int(header[len(expect_prefix):]) != len(body):
+            return None
+        out = []
+        for line in body:
+            sig_s, value_s, k_s = line.split(";")
+            sig = tuple(int(a) for a in sig_s.split(",")) if sig_s else ()
+            out.append(Candidate(sig, int(value_s), int(k_s)))
+    except (OSError, ValueError):
         return None
-    expect_prefix = f"# kalmar-candidates X={x} version={__version__} count="
-    if not header.startswith(expect_prefix):
-        return None
-    count = int(header[len(expect_prefix):])
-    if count != len(body):
-        return None
-    out = []
-    for line in body:
-        sig_s, value_s, k_s = line.split(";")
-        sig = tuple(int(a) for a in sig_s.split(",")) if sig_s else ()
-        out.append(Candidate(sig, int(value_s), int(k_s)))
     return out

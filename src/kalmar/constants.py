@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-from .primes import first_primes, nth_prime, primes_up_to
+from .primes import first_primes, iter_primes, nth_prime
 
 __all__ = [
     "ConstantsTable",
@@ -315,11 +315,12 @@ def prime_sum_check(sieve_bound: int = 10**7, tol: float = 1e-12) -> dict[str, t
     for inv_a = sum log p/(p^rho - 1), b_sum = sum 1/(p^rho - 1), T0.
     The tail estimate's own uncertainty is of order tail/( (rho-1) log P ).
     """
+    primes = iter_primes(sieve_bound)     # streamed; over capacity raises here
     rho = solve_rho(INFINITE, tol)
     inv_a = 0.0
     b_sum = 0.0
     t0 = 0.0
-    for p in primes_up_to(sieve_bound):
+    for p in primes:
         q = math.exp(rho * math.log(p))
         inv_a += math.log(p) / (q - 1.0)
         b_sum += 1.0 / (q - 1.0)

@@ -12,6 +12,9 @@ Three independent methods are provided and must agree everywhere:
   * kalmar_series_bounds - exact rational bracketing of the Dirichlet-series
     expansion K(n) = (1/2) sum_r tau_r(n)/2^r.
 
+MacMahon's formula is one weighted sum of the vector tau*_m, m <= Omega, with
+weights from a two-term recurrence; the champion search passes tau* in.
+
 Everything in this module is exact; no floating point anywhere.
 """
 
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
-from typing import Iterable
+from functools import lru_cache
+from itertools import accumulate, product
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import KalmarError, PreconditionError, ResourceLimitError
 from .primes import factorize
@@ -32,6 +37,7 @@ __all__ = [
     "big_omega",
     "small_omega",
     "tau_r",
+    "tau_star_column",
     "kalmar_macmahon",
     "kalmar_recursive",
     "kalmar_series_bounds",
@@ -68,72 +74,72 @@ def small_omega(sig: Signature) -> int:
     return len(sig)
 
 
-# binomial C(alpha + m - 1, alpha), cached: MacMahon's formula is the hot
-# path of champion enumeration and hits the same small (alpha, m) pairs
-_BINOM: dict[tuple[int, int], int] = {}
+def tau_star_column(a: int, length: int) -> list[int]:
+    """[C(a+m-1, a) for m = 1..length]: tau*_m of one prime power p^a."""
+    col = [1] * length
+    for m in range(1, length):
+        col[m] = col[m - 1] * (a + m) // m
+    return col
 
 
-def _stars_bars(alpha: int, m: int) -> int:
-    key = (alpha, m)
-    v = _BINOM.get(key)
-    if v is None:
-        v = _BINOM[key] = math.comb(alpha + m - 1, alpha)
-    return v
+@lru_cache(maxsize=256)        # holds every Omega <= 88 of the X20 census
+def _weights(om: int) -> tuple[int, ...]:
+    """(w[1], ..., w[om]) with w[m] = sum_{j=m}^{om} (-1)^(j-m) C(j, m)."""
+    w, c = [1] * om, om + 1               # c = C(om+1, m+1), stepped down
+    for m in range(om - 1, 0, -1):
+        w[m - 1] = 2 * w[m] + (c if (om - m) % 2 == 0 else -c)
+        c = c * (m + 1) // (om + 1 - m)
+    return tuple(w)
 
 
-# _W[om][m] = sum_{j=m}^{om} (-1)^(j-m) C(j, m); row 0 is a placeholder
-_W: list[list[int]] = [[0]]
-
-
-def _w_row(om: int) -> list[int]:
-    while len(_W) <= om:
-        n = len(_W)
-        prev = _W[n - 1]
-        row = [0] * (n + 1)
-        sign = -1 if (n - 1) % 2 else 1   # (-1)^(n-m) at m = 1
-        for m in range(1, n):
-            row[m] = prev[m] + sign * math.comb(n, m)
-            sign = -sign
-        row[n] = 1
-        _W.append(row)
-    return _W[om]
-
-
-def kalmar_macmahon(sig: Iterable[int]) -> int:
-    """Exact K(n) from the signature by MacMahon's formula.
-
-    The double sum  sum_{j=1}^{Om} sum_{i=0}^{j-1} (-1)^i C(j,i) tau*_{j-i}
-    is evaluated grouped by m = j - i, where tau*_m = prod_h C(a_h+m-1, a_h)
-    counts ordered m-tuples of factors >= 1 with the given product:
-
-        K = sum_{m=1}^{Om} tau*_m * sum_{j=m}^{Om} (-1)^(j-m) C(j, m).
-
-    This is the same formula with O(Om) big-integer terms instead of O(Om^2).
-    """
-    sig = canonical_signature(sig)
+def kalmar_macmahon(sig: Iterable[int], taus: Sequence[int] | None = None) -> int:
+    """Exact K(n) by MacMahon's formula grouped by m, with tau*_m =
+    prod_h C(a_h+m-1, a_h) the ordered m-tuples of factors >= 1 with product n:
+    K = sum_{m<=Om} tau*_m w[m],  w[m] = sum_{j=m}^{Om} (-1)^(j-m) C(j, m).
+    C(j, m) = C(j+1, m+1) - C(j, m+1) gives w[Om] = 1 and
+    w[m] = 2 w[m+1] + (-1)^(Om-m) C(Om+1, m+1): O(Om) terms, cached per Om.
+    taus, if given, holds tau*_1..tau*_L of sig for some L >= Om, as the
+    candidate search carries it; otherwise it is built here."""
+    if taus is None:
+        sig = canonical_signature(sig)
+        taus = [1] * sum(sig)
+        for a in set(sig):
+            col, c = tau_star_column(a, len(taus)), sig.count(a)
+            taus = list(map(mul, taus, col if c == 1 else [x ** c for x in col]))
     om = sum(sig)
-    if om == 0:
-        return 1
-    w = _w_row(om)
-    total = 0
-    for m in range(1, om + 1):
-        g = 1
-        for a in sig:
-            g *= _stars_bars(a, m)
-        total += g * w[m]
-    return total
+    if len(taus) < om:
+        raise PreconditionError(f"need {om} tau* values, got {len(taus)}")
+    return sum(map(mul, taus, _weights(om))) if om else 1
 
 
 _MEMO: dict[Signature, int] = {(): 1}
+# cap on recursive_steps(sig), a few microseconds a step; Omega <= 12 needs <= 10235
+RECURSIVE_MAX_STEPS = 1_000_000
+
+
+def recursive_steps(sig: Signature) -> int:
+    """Inner-loop steps of kalmar_recursive(sig) from an empty memo: memo entry
+    b (non-increasing, zero-padded, b <= sig) takes prod (b_i + 1) of them."""
+    g = [1]                       # g[v]: steps of the tails that start at v
+    for a in reversed(sig):
+        pre = list(accumulate(g))
+        g = [(v + 1) * pre[min(v, len(pre) - 1)] for v in range(a + 1)]
+    return sum(g) - 1                         # () is memoized from the start
 
 
 def kalmar_recursive(sig: Iterable[int], max_memo: int = 4_000_000) -> int:
     """Exact K(n) by the divisor recursion, memoized on canonical signatures.
 
     Divisors of the signature are exponent sub-vectors, re-canonicalized; the
-    memo key collapses the divisor lattice by permutation symmetry.
+    memo key collapses the divisor lattice by permutation symmetry.  Raises
+    ResourceLimitError before any work when recursive_steps(sig) exceeds
+    RECURSIVE_MAX_STEPS.
     """
-    return _krec(canonical_signature(sig), max_memo)
+    sig = canonical_signature(sig)
+    if sig not in _MEMO and (steps := recursive_steps(sig)) > RECURSIVE_MAX_STEPS:
+        raise ResourceLimitError(
+            f"divisor recursion needs {steps} steps, cap {RECURSIVE_MAX_STEPS}")
+    return _krec(sig, max_memo)
 
 
 def _krec(sig: Signature, cap: int) -> int:
@@ -158,9 +164,8 @@ def tau_r(sig: Iterable[int], r: int) -> int:
     """
     if r < 0:
         raise PreconditionError("r must be >= 0")
-    sig = canonical_signature(sig)
     out = 1
-    for a in sig:
+    for a in canonical_signature(sig):
         out *= math.comb(a + r - 1, a)
     return out
 
@@ -204,10 +209,7 @@ def kalmar_series_exact(sig: Iterable[int]) -> int:
 def kp_multinomial(sig: Iterable[int]) -> int:
     """Ordered factorizations into primes: the multinomial Om! / prod a_i!."""
     sig = canonical_signature(sig)
-    out = math.factorial(sum(sig))
-    for a in sig:
-        out //= math.factorial(a)
-    return out
+    return math.factorial(sum(sig)) // math.prod(math.factorial(a) for a in sig)
 
 
 def signatures_with_omega(om: int, max_part: int | None = None):
@@ -227,12 +229,9 @@ def eulerian_row(n: int) -> list[int]:
     if n < 1:
         raise PreconditionError("n must be >= 1")
     row = [1]
-    for m in range(2, n + 1):
-        new = [0] * m
-        for k in range(m):
-            new[k] = (k + 1) * (row[k] if k < m - 1 else 0) \
-                   + (m - k) * (row[k - 1] if k >= 1 else 0)
-        row = new
+    for m in range(2, n + 1):     # A(m,k) = (k+1) A(m-1,k) + (m-k) A(m-1,k-1)
+        row = [(k + 1) * x + (m - k) * y
+               for k, (x, y) in enumerate(zip(row + [0], [0] + row))]
     return row
 
 

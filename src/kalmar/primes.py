@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import compress
+from typing import Iterator
 
 from .errors import ResourceLimitError
 
@@ -30,6 +32,31 @@ def sieve_primes(limit: int) -> list[int]:
             start = p * p
             bs[start :: p] = b"\x00" * ((limit - start) // p + 1)
     return [i for i, v in enumerate(bs) if v]
+
+
+def iter_primes(limit: int) -> Iterator[int]:
+    """All primes <= limit in increasing order by a segmented sieve, in
+    O(sqrt(limit)) memory; the shared prime list is left alone.  The
+    capacity check runs at the call, before anything is allocated."""
+    if limit > DEFAULT_MAX_SIEVE:
+        raise ResourceLimitError(
+            f"sieve bound {limit} exceeds configured capacity {DEFAULT_MAX_SIEVE}"
+        )
+    return _segmented(limit)
+
+
+def _segmented(limit: int, segment: int = 1 << 18) -> Iterator[int]:
+    base = sieve_primes(math.isqrt(limit))
+    yield from base
+    for lo in range(math.isqrt(limit) + 1, limit + 1, segment):
+        hi = min(lo + segment, limit + 1)
+        seg = bytearray(b"\x01") * (hi - lo)
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p) - lo
+            seg[start::p] = bytes((hi - lo - 1 - start) // p + 1)
+        yield from compress(range(lo, hi), seg)
 
 
 def _ensure_sieved(limit: int, max_sieve: int = DEFAULT_MAX_SIEVE) -> None:

@@ -1,5 +1,7 @@
 """Champion enumeration, census, stats, laws, and the candidate cache."""
 
+import os
+
 import pytest
 
 from kalmar import champions as ch
@@ -37,6 +39,18 @@ def test_candidate_values_match_signatures():
             v *= p**a
         assert v == c.value
         assert c.k_value == ex.kalmar_macmahon(c.signature)
+
+
+def test_carried_taus_match_standalone_kernel():
+    cands = list(ch.enumerate_candidates(10**12))
+    assert len(cands) == 4357
+    for c in cands:
+        assert c.k_value == ex.kalmar_macmahon(c.signature), c.signature
+
+
+def test_candidates_match_recursion():
+    for c in ch.enumerate_candidates(10**5):
+        assert c.k_value == ex.kalmar_recursive(c.signature), c.signature
 
 
 def test_champions_x12():
@@ -127,3 +141,20 @@ def test_cache_roundtrip(tmp_path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     assert ch.load_candidates(path, 34560) is None         # stale version
+
+
+def test_corrupt_cache_is_stale(tmp_path):
+    path = str(tmp_path / "cands.txt")
+    cands = list(ch.enumerate_candidates(34560))
+    ch.save_candidates(path, 34560, cands)
+    assert os.listdir(tmp_path) == ["cands.txt"]          # no temp file left
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for garbled in ("garbage", "1;2", "x;4;2", "1;4;2;7", ""):
+        bad = lines[:5] + [garbled] + lines[6:]
+        with open(path, "w") as fh:
+            fh.write("\n".join(bad) + "\n")
+        assert ch.load_candidates(path, 34560) is None, garbled
+    with open(path, "w") as fh:
+        fh.write(lines[0].replace("count=", "count=x") + "\n")
+    assert ch.load_candidates(path, 34560) is None

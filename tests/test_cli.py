@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 
 from kalmar.cli import split_csv_row
 
@@ -92,6 +93,20 @@ def test_champions_cache(tmp_path):
     assert first.stdout == second.stdout
 
 
+def test_corrupt_cache_reenumerates(tmp_path):
+    path = tmp_path / "cands.txt"
+    fresh = run_cli("champions", "--x", "34560", "--census", "--cache", str(path))
+    assert fresh.returncode == 0 and "saved" in fresh.stderr
+    lines = path.read_text().splitlines()
+    lines[7] = "garbled"
+    path.write_text("\n".join(lines) + "\n")
+    again = run_cli("champions", "--x", "34560", "--census", "--cache", str(path))
+    assert again.returncode == 0, again.stderr
+    assert "saved" in again.stderr and again.stdout == fresh.stdout
+    hit = run_cli("champions", "--x", "34560", "--census", "--cache", str(path))
+    assert "loaded" in hit.stderr and hit.stdout == fresh.stdout
+
+
 def test_cache_env_var(tmp_path):
     path = str(tmp_path / "envcache.txt")
     cp = run_cli("champions", "--x", "100", env={"KALMAR_CACHE": path})
@@ -130,6 +145,18 @@ def test_exit_codes():
     assert run_cli("witness", "--log-n", "100", "--kappa", "1.9").returncode == 1
     assert run_cli("k", "--signature", "2,-1").returncode == 1
     assert run_cli("--help").returncode == 0
+
+
+def test_resource_limits_exit_2():
+    t0 = time.monotonic()
+    cp = subprocess.run(
+        [sys.executable, "-m", "kalmar", "k", "--check",
+         "--signature", "40,25,17,12,9,8,6,5,4,3,3,2,2,2,1"],
+        capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 2 and "cap" in cp.stderr
+    assert time.monotonic() - t0 < 10
+    cp = run_cli("constants", "--sieve-bound", "300000000")
+    assert cp.returncode == 2 and "exceeds configured capacity" in cp.stderr
 
 
 def test_verify_fast():

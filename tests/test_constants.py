@@ -8,7 +8,7 @@ import pytest
 from kalmar import constants as cn
 from kalmar import verify as vf
 from kalmar.errors import DomainError, ResourceLimitError
-from kalmar.primes import first_primes, is_prime, nth_prime, sieve_primes
+from kalmar.primes import first_primes, is_prime, iter_primes, nth_prime, sieve_primes
 
 mpmath.mp.dps = 30
 
@@ -93,6 +93,32 @@ def test_scale_agrees_with_sieve_sum():
     chk = cn.prime_sum_check(10**6)
     value, err = chk["inv_a"]
     assert abs(value - 1.0 / a) < 3 * err + 1e-9
+
+
+def test_sieve_sums_stream_bit_identical():
+    # the same floats as summing over the whole prime list, tail included
+    bound = 10**6
+    rho = cn.solve_rho(cn.INFINITE, 1e-12)
+    inv_a = b_sum = t0 = 0.0
+    for p in sieve_primes(bound):
+        q = math.exp(rho * math.log(p))
+        inv_a += math.log(p) / (q - 1.0)
+        b_sum += 1.0 / (q - 1.0)
+        t0 += 1.0 / q
+    lp = math.log(float(bound))
+    base = float(bound) ** (1.0 - rho) / (rho - 1.0)
+    cor = 1.0 / ((rho - 1.0) * lp)
+    weighted = base / lp * (1.0 - cor)
+    assert cn.prime_sum_check(bound) == {
+        "inv_a": (inv_a + base, base * cor),
+        "b_sum": (b_sum + weighted, weighted * cor),
+        "T0": (t0 + weighted, weighted * cor),
+    }
+    assert list(iter_primes(bound)) == sieve_primes(bound)   # spans 4 segments
+    for small in (0, 1, 2, 3, 4, 10, 97, 10007):
+        assert list(iter_primes(small)) == sieve_primes(small)
+    with pytest.raises(ResourceLimitError, match="capacity"):
+        cn.prime_sum_check(10**9)
 
 
 def test_model_constants_against_mpmath():

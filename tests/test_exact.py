@@ -1,6 +1,8 @@
 """Exact K against brute-force enumeration and the unreorganized formula."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,6 +78,38 @@ def test_recursive_capacity():
         ex.kalmar_recursive((30, 29, 28, 27, 26, 25), max_memo=len(ex._MEMO))
 
 
+def test_recursive_memo_capacity():
+    # within the step cap, so only the memo cap can stop it
+    assert ex.recursive_steps((9, 9, 9, 9)) <= ex.RECURSIVE_MAX_STEPS
+    with pytest.raises(ResourceLimitError, match="memo"):
+        ex.kalmar_recursive((9, 9, 9, 9), max_memo=len(ex._MEMO))
+
+
+def test_recursive_work_guard():
+    def counted_steps(sig):
+        seen, steps = set(), 0
+
+        def walk(s):
+            nonlocal steps
+            if s in seen or not s:
+                return
+            seen.add(s)
+            for sub in itertools.product(*(range(a + 1) for a in s)):
+                steps += 1
+                walk(ex.canonical_signature(sub))
+        walk(sig)
+        return steps
+
+    for sig in ((), (1,), (2, 1), (3, 2, 1), (1, 1, 1, 1), (5, 3, 3, 1), (4, 4, 2, 2, 1)):
+        assert ex.recursive_steps(sig) == counted_steps(sig), sig
+    assert max(ex.recursive_steps(sig) for om in range(13)
+               for sig in ex.signatures_with_omega(om)) <= ex.RECURSIVE_MAX_STEPS
+    big = (40, 25, 17, 12, 9, 8, 6, 5, 4, 3, 3, 2, 2, 2, 1)
+    with pytest.raises(ResourceLimitError, match="steps"):
+        ex.kalmar_recursive(big)
+    assert big not in ex._MEMO
+
+
 def test_methods_agree_small_omega():
     for om in range(10):
         for sig in ex.signatures_with_omega(om):
@@ -127,6 +161,39 @@ def test_series_bounds():
 def test_series_exact():
     for sig in ((), (1,), (2, 1), (3, 2, 1), (8, 3, 1)):
         assert ex.kalmar_series_exact(sig) == ex.kalmar_macmahon(sig)
+
+
+def test_weight_recurrence():
+    for om in range(1, 61):
+        explicit = tuple(sum((-1) ** (j - m) * math.comb(j, m) for j in range(m, om + 1))
+                         for m in range(1, om + 1))
+        assert ex._weights(om) == explicit, om
+
+
+def test_tau_star_column_and_taus():
+    for a in range(6):
+        assert ex.tau_star_column(a, 9) == [math.comb(a + m - 1, a) for m in range(1, 10)]
+    assert ex.tau_star_column(3, 0) == []
+    sig = (3, 2, 2, 1)
+    taus = [ex.tau_r(sig, m) for m in range(1, 12)]
+    assert ex.kalmar_macmahon(sig, taus) == ex.kalmar_macmahon(sig)
+    with pytest.raises(PreconditionError):
+        ex.kalmar_macmahon(sig, taus[:7])
+
+
+def test_macmahon_large_omega_against_series():
+    from kalmar.optimize import witness_m
+    rng = random.Random(2007)
+    sigs = [witness_m(1000.0).m_signature]          # Omega = 933
+    for om in (rng.randint(200, 933), rng.randint(200, 400)):
+        parts = []
+        while om:
+            parts.append(rng.randint(1, min(om, 120)))
+            om -= parts[-1]
+        sigs.append(ex.canonical_signature(parts))
+    assert sum(sigs[0]) == 933
+    for sig in sigs:
+        assert ex.kalmar_macmahon(sig) == ex.kalmar_series_exact(sig), sig
 
 
 def test_kp_multinomial():
