@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     signature: tuple[int, ...]
     value: int          # N = 2^a1 3^a2 ... p_k^ak
@@ -279,19 +279,18 @@ def save_candidates(path: str, x: int, candidates: list[Candidate]) -> None:
 def load_candidates(path: str, x: int) -> list[Candidate] | None:
     """Sorted candidate list from a cache file, or None if it is missing,
     stale (other bound or version) or fails to parse in any way."""
+    expect_prefix = f"# kalmar-candidates X={x} version={__version__} count="
     try:
         with open(path, encoding="ascii") as fh:
             header = fh.readline().strip()
-            body = fh.read().splitlines()
-        expect_prefix = f"# kalmar-candidates X={x} version={__version__} count="
-        if not header.startswith(expect_prefix) \
-                or int(header[len(expect_prefix):]) != len(body):
-            return None
-        out = []
-        for line in body:
-            sig_s, value_s, k_s = line.split(";")
-            sig = tuple(int(a) for a in sig_s.split(",")) if sig_s else ()
-            out.append(Candidate(sig, int(value_s), int(k_s)))
+            if not header.startswith(expect_prefix):
+                return None
+            count = int(header[len(expect_prefix):])
+            out = []
+            for line in fh:                 # line by line: the file is not held whole
+                sig_s, value_s, k_s = line.rstrip("\n").split(";")
+                sig = tuple(int(a) for a in sig_s.split(",")) if sig_s else ()
+                out.append(Candidate(sig, int(value_s), int(k_s)))
     except (OSError, ValueError):
         return None
-    return out
+    return out if len(out) == count else None

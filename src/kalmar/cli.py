@@ -34,20 +34,14 @@ ENV_SIEVE = "KALMAR_SIEVE_BOUND"
 
 @dataclass
 class RunConfig:
-    precision: float = 1e-12
     sieve_bound: int | None = None
     kappa: float = 1.5
     omega_max: int = 12
     cache_path: str | None = None
     output_format: str = "text"
     digits: int = 12
-    worker_count: int = 1   # accepted for interface stability; work is sequential
 
     def validate(self) -> None:
-        if not 1e-15 <= self.precision <= 1e-6:
-            raise DomainError(f"precision {self.precision} outside [1e-15, 1e-6]")
-        if self.worker_count < 1:
-            raise DomainError("worker count must be >= 1")
         if self.sieve_bound is not None and self.sieve_bound < 10_000:
             raise DomainError("sieve bound must be >= 10000")
         if self.output_format not in ("text", "csv"):
@@ -60,8 +54,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
     if env_sieve:
         cfg.sieve_bound = int(env_sieve)
     cfg.cache_path = os.environ.get(ENV_CACHE) or None
-    for field in ("precision", "sieve_bound", "kappa", "omega_max",
-                  "cache_path", "digits", "worker_count"):
+    for field in ("sieve_bound", "kappa", "omega_max", "cache_path", "digits"):
         v = getattr(args, field, None)
         if v is not None:
             setattr(cfg, field, v)
@@ -155,7 +148,7 @@ def _cmd_k(args, cfg: RunConfig, out) -> int:
 
 
 def _cmd_constants(args, cfg: RunConfig, out) -> int:
-    tab = cn.model_constants(tol=cfg.precision)
+    tab = cn.model_constants()
     d = cfg.digits
     pairs = [
         ("rho", fmt_real(tab.rho, d)),
@@ -170,11 +163,11 @@ def _cmd_constants(args, cfg: RunConfig, out) -> int:
         ("precision", fmt_real(tab.precision, 3)),
     ]
     if args.k is not None:
-        trunc = cn.truncated_constants(args.k, cfg.precision)
+        trunc = cn.truncated_constants(args.k)
         pairs.append((f"rho_{trunc.k}", fmt_real(trunc.rho_k, d)))
         pairs.append((f"a_{trunc.k}", fmt_real(trunc.a_k, d)))
     if cfg.sieve_bound is not None:
-        for name, (value, err) in cn.prime_sum_check(cfg.sieve_bound, cfg.precision).items():
+        for name, (value, err) in cn.prime_sum_check(cfg.sieve_bound).items():
             pairs.append((f"sieve_{name}", fmt_real(value, d)))
             pairs.append((f"sieve_{name}_tail_err", fmt_real(err, 3)))
     _emit_pairs(pairs, cfg, out)
@@ -217,7 +210,7 @@ def _cmd_ratio_scan(args, cfg: RunConfig, out) -> int:
 
 
 def _cmd_optimum(args, cfg: RunConfig, out) -> int:
-    p = op.optimum(args.k, args.budget, tol=cfg.precision)
+    p = op.optimum(args.k, args.budget)
     d = cfg.digits
     _emit_pairs([
         ("k", str(p.k)),
@@ -313,7 +306,7 @@ def _cmd_champions(args, cfg: RunConfig, out) -> int:
         return 0
     records = ch.champions_from_candidates(cands)
     if args.stats:
-        tab = cn.model_constants(tol=cfg.precision)
+        tab = cn.model_constants()
         d = cfg.digits
         rows = []
         for rec in records:
@@ -370,11 +363,8 @@ def build_parser() -> _Parser:
     common.add_argument("--format", dest="output_format", choices=("text", "csv"),
                         help="output format (default text)")
     common.add_argument("--digits", type=int, help="significant digits for reals (default 12)")
-    common.add_argument("--precision", type=float, help="solver tolerance (default 1e-12)")
     common.add_argument("--sieve-bound", dest="sieve_bound", type=int,
                         help=f"prime sieve bound (also ${ENV_SIEVE})")
-    common.add_argument("--workers", dest="worker_count", type=int,
-                        help="worker hint; evaluation is sequential and deterministic")
     sub = top.add_subparsers(dest="command")
 
     k = sub.add_parser("k", parents=[common], help="exact K(n)")

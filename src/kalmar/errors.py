@@ -18,7 +18,7 @@ class PreconditionError(KalmarError, ValueError):
 
 
 class ConvergenceError(KalmarError, RuntimeError):
-    """A solver failed to converge; signals a tolerance misconfiguration."""
+    """A solver failed to converge, or a result left its proven range."""
 
 
 class ResourceLimitError(KalmarError, RuntimeError):

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .constants import LOG2, _newton_left
 from .errors import ConvergenceError, DomainError, KalmarError, ResourceLimitError
 from .exact import kalmar_macmahon, signatures_with_omega
 
@@ -41,51 +42,34 @@ __all__ = [
     "ratio_scan",
 ]
 
-LOG2 = math.log(2.0)
 _LOG_2SQRT2 = 1.5 * LOG2
 
 
 def _checked(x: Iterable[float]) -> tuple[float, ...]:
     x = tuple(float(v) for v in x)
-    if any(v < 0.0 for v in x):
-        raise DomainError(f"vector entries must be >= 0, got {x}")
+    if not all(0.0 <= v < math.inf for v in x):
+        raise DomainError(f"vector entries must be finite and >= 0, got {x}")
     return x
 
 
-def solve_c(x: Sequence[float], rel_tol: float = 1e-12) -> float:
+def solve_c(x: Sequence[float]) -> float:
     """Unique c > 0 with prod (1 + x_j/c) = 2; returns 0.0 for the zero vector.
 
-    Bisection on H(t) = sum log(1 + x_j/t) - log 2 over the guaranteed
-    bracket [Omega, Omega/log 2], then Newton to machine accuracy (Newton is
-    pushed past rel_tol so finite-difference users get full precision).
+    Newton on H(t) = sum log(1 + x_j/t) - log 2, which decreases and is
+    convex in t, from t = Omega, where H >= 0 because c >= Omega.  The
+    climb stops when a step no longer moves right (constants._newton_left).
     """
     pos = [v for v in _checked(x) if v > 0.0]
     if not pos:
         return 0.0
     if len(pos) == 1:
         return pos[0]
-    om = math.fsum(pos)
-    lo, hi = om, om / LOG2
-
-    def h(t: float) -> float:
-        return math.fsum(math.log1p(v / t) for v in pos) - LOG2
-
-    for _ in range(25):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(12):
-        slope = -math.fsum(v / (t + v) for v in pos) / t
-        dt = h(t) / slope
-        t -= dt
-        if abs(dt) <= max(rel_tol, 1e-15) * t:
-            slope = -math.fsum(v / (t + v) for v in pos) / t
-            t -= h(t) / slope
-            break
-    return t
+    return _newton_left(
+        lambda t: math.fsum(math.log1p(v / t) for v in pos) - LOG2,
+        # v/(t+v) written so that t + v cannot overflow near the float limit
+        lambda t: -math.fsum(1.0 / (1.0 + t / v) for v in pos) / t,
+        math.fsum(pos),
+    )
 
 
 def t_of(x: Sequence[float]) -> float:

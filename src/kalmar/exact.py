@@ -185,9 +185,8 @@ def kalmar_series_bounds(sig: Iterable[int], R: int) -> tuple[Fraction, Fraction
     q = Fraction(R + 2, R + 1) ** om / 2
     if q >= 1:
         raise PreconditionError(f"R = {R} too small: tail ratio {q} >= 1")
-    lower = Fraction(0)
-    for r in range(R + 1):
-        lower += Fraction(tau_r(sig, r), 2 ** (r + 1))
+    # one integer sum over the common denominator 2^(R+1): a single gcd
+    lower = Fraction(sum(tau_r(sig, r) << (R - r) for r in range(R + 1)), 1 << (R + 1))
     first_omitted = Fraction((R + 1) ** om, 2 ** (R + 1))
     tail = first_omitted / (1 - q) / 2
     return lower, lower + tail

@@ -50,19 +50,19 @@ class OptimumPoint:
     f_star: float           # rho_k * A
 
 
-def optimum(k: int, budget: float, tol: float = 1e-12) -> OptimumPoint:
+def optimum(k: int, budget: float) -> OptimumPoint:
     """The maximizer of F on {sum x_i log p_i <= A} over the first k primes.
 
     The closed form is verified on the spot: budget residual, c residual via
     solve_c, F residual via f_of, and the gradient condition, all to 1e-8
-    relative.  A failure indicates a tolerance misconfiguration upstream.
+    relative.  A failure indicates a numerical defect upstream.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    if not budget > 0.0:
-        raise DomainError("the budget A must be positive")
-    rho_k = solve_rho(k, tol)
-    a_k = lagrange_scale(k, tol)
+    if not 0.0 < budget < math.inf:
+        raise DomainError(f"the budget A must be positive and finite, got {budget}")
+    rho_k = solve_rho(k)
+    a_k = lagrange_scale(k)
     primes = first_primes(k)
     logs = [math.log(p) for p in primes]
     x_star = tuple(a_k * budget / (math.exp(rho_k * lp) - 1.0) for lp in logs)
@@ -148,8 +148,8 @@ def choose_k(log_n: float, kappa: float = 1.5) -> ChosenK:
     construction breaks down.
     """
     tab = model_constants()
-    if not log_n > math.e:
-        raise DomainError("need log n > e so that log log n > 1")
+    if not math.e < log_n < math.inf:
+        raise DomainError(f"need finite log n > e so that log log n > 1, got {log_n}")
     if not 0.0 < kappa < tab.kappa_max:
         raise DomainError(f"kappa must lie in (0, {tab.kappa_max:.6f}), got {kappa}")
     raw = kappa * log_n ** (1.0 / tab.rho) / math.log(log_n)

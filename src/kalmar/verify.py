@@ -18,7 +18,7 @@ from . import constants as cn
 from . import evans as ev
 from . import exact as ex
 from . import optimize as op
-from .primes import first_primes
+from .primes import factorize, first_primes
 
 __all__ = ["CheckResult", "full_suite"]
 
@@ -105,22 +105,6 @@ def check_truncated_table() -> CheckResult:
     return CheckResult("truncated_table", ok, f"worst deviation {worst:.2e}")
 
 
-def check_scale_gap_envelope() -> CheckResult:
-    """Fitted envelope constant for |a_k/(p^rho_k - 1) - a/(p^rho - 1)|
-    against (log p / p^(rho/2)) (k log k)^(1-rho); report only."""
-    tab = cn.model_constants()
-    c_fit = 0.0
-    for k in (10, 100):
-        rk, ak = cn.solve_rho(k), cn.lagrange_scale(k)
-        for p in first_primes(25):
-            if p > 100:
-                break
-            lhs = abs(ak / (p ** rk - 1.0) - tab.a / (p ** tab.rho - 1.0))
-            unit = (math.log(p) / p ** (tab.rho / 2)) * (k * math.log(k)) ** (1.0 - tab.rho)
-            c_fit = max(c_fit, lhs / unit)
-    return CheckResult("scale_gap_envelope", True, f"fitted C = {c_fit:.4f} (report only)")
-
-
 # --------------------------------------------------------------------------
 # exact K
 
@@ -174,17 +158,7 @@ def check_growth_laws(n_max: int = 100_000) -> CheckResult:
 def check_supermultiplicative(n_max: int = 2000) -> CheckResult:
     """K(n n') >= 2 K(n) K(n') for 2 <= n <= n' <= n_max."""
     sigs = _sig_table(n_max)
-    facs: list[dict[int, int] | None] = [None] * (n_max + 1)
-    for n in range(2, n_max + 1):
-        m, d, f = n, 2, {}
-        while d * d <= m:
-            while m % d == 0:
-                f[d] = f.get(d, 0) + 1
-                m //= d
-            d += 1
-        if m > 1:
-            f[m] = f.get(m, 0) + 1
-        facs[n] = f
+    facs = [{}, {}] + [dict(factorize(n)) for n in range(2, n_max + 1)]
     ktab = _k_by_sig(sigs)
 
     def k_of(f: dict[int, int]) -> int:
@@ -315,39 +289,27 @@ def _sandwich_units(sig: tuple[int, ...]) -> tuple[float, float]:
             f - 0.5 * k * math.log(math.pi))
 
 
-def fit_sandwich_constants(n_max: int = 100_000) -> tuple[float, float, int]:
+def fit_sandwich_constants(n_max: int = 100_000) -> tuple[float, float, list]:
     """Extremal C3' and C4' over every signature realized below n_max, and
-    the number of signatures fitted.  C3' and C4' scale different units and
-    are not comparable to each other."""
-    c3 = float("inf")
-    c4 = 0.0
-    count = 0
-    for c in ch.enumerate_candidates(n_max):
-        if not c.signature:
-            continue
-        count += 1
-        logk = math.log(c.k_value)
-        lo_u, hi_u = _sandwich_units(c.signature)
-        c3 = min(c3, math.exp(logk - lo_u))
-        c4 = max(c4, math.exp(logk - hi_u))
-    return c3, c4, count
+    the fitted points (log K, log lower unit, log upper unit).  C3' and C4'
+    scale different units and are not comparable to each other."""
+    points = [(math.log(c.k_value), *_sandwich_units(c.signature))
+              for c in ch.enumerate_candidates(n_max) if c.signature]
+    c3 = min((math.exp(logk - lo_u) for logk, lo_u, _ in points), default=float("inf"))
+    c4 = max((math.exp(logk - hi_u) for logk, _, hi_u in points), default=0.0)
+    return c3, c4, points
 
 
 def check_sandwich(n_max: int = 100_000) -> CheckResult:
     """exp(F)/(e^k sqrt(prod a)) and exp(F)/pi^(k/2) bracket K with fitted
     constants over every signature realized below n_max."""
-    c3, c4, count = fit_sandwich_constants(n_max)
-    violations = 0
-    for c in ch.enumerate_candidates(n_max):
-        if not c.signature:
-            continue
-        lo_u, hi_u = _sandwich_units(c.signature)
-        logk = math.log(c.k_value)
-        if not math.log(c3) + lo_u - 1e-9 <= logk <= math.log(c4) + hi_u + 1e-9:
-            violations += 1
+    c3, c4, points = fit_sandwich_constants(n_max)
+    violations = sum(
+        not math.log(c3) + lo_u - 1e-9 <= logk <= math.log(c4) + hi_u + 1e-9
+        for logk, lo_u, hi_u in points)
     ok = violations == 0 and c3 > 0.0 and c4 > 0.0
     return CheckResult("sandwich", ok,
-                       f"{count} signatures <= {n_max}; fitted "
+                       f"{len(points)} signatures <= {n_max}; fitted "
                        f"C3'={c3:.6f}, C4'={c4:.6f}, violations={violations}")
 
 
@@ -472,7 +434,6 @@ def full_suite(fast: bool = False) -> list[CheckResult]:
     return [
         check_constants_monotone(1000 // f),
         check_truncated_table(),
-        check_scale_gap_envelope(),
         check_triple_oracle(10 if fast else 12),
         check_eulerian(40 if fast else 120),
         check_growth_laws(100_000 // f),

@@ -158,3 +158,6 @@ def test_corrupt_cache_is_stale(tmp_path):
     with open(path, "w") as fh:
         fh.write(lines[0].replace("count=", "count=x") + "\n")
     assert ch.load_candidates(path, 34560) is None
+    with open(path, "w") as fh:                           # truncated: too few lines
+        fh.write("\n".join(lines[:-1]) + "\n")
+    assert ch.load_candidates(path, 34560) is None

@@ -145,6 +145,29 @@ def test_exit_codes():
     assert run_cli("witness", "--log-n", "100", "--kappa", "1.9").returncode == 1
     assert run_cli("k", "--signature", "2,-1").returncode == 1
     assert run_cli("--help").returncode == 0
+    assert run_cli("constants", "--precision", "1e-6").returncode == 1     # removed flags
+    assert run_cli("k", "--n", "12", "--workers", "2").returncode == 1
+
+
+def test_non_finite_input_exit_1():
+    for argv in (("optimum", "--k", "3", "--A", "inf"),
+                 ("deficit", "--signature", "3,2,1", "--A", "inf"),
+                 ("witness", "--log-n", "inf")):
+        cp = run_cli(*argv)
+        assert cp.returncode == 1 and cp.stdout == "", argv
+        assert "finite" in cp.stderr, cp.stderr
+
+
+def test_golden_default_output():
+    # default 12-digit stdout, pinned byte for byte
+    with open(os.path.join(os.path.dirname(__file__), "golden_cli.txt")) as fh:
+        cases = fh.read().split("$ kalmar ")[1:]
+    assert len(cases) == 5
+    for case in cases:
+        argv, expected = case.split("\n", 1)
+        cp = run_cli(*argv.split())
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == expected, argv
 
 
 def test_resource_limits_exit_2():

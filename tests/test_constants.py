@@ -7,7 +7,7 @@ import pytest
 
 from kalmar import constants as cn
 from kalmar import verify as vf
-from kalmar.errors import DomainError, ResourceLimitError
+from kalmar.errors import ConvergenceError, DomainError, ResourceLimitError
 from kalmar.primes import first_primes, is_prime, iter_primes, nth_prime, sieve_primes
 
 mpmath.mp.dps = 30
@@ -68,7 +68,7 @@ def test_zeta_truncated_monotonicity():
 
 
 def test_solve_rho():
-    assert abs(cn.solve_rho(1) - 1.0) < 1e-12
+    assert cn.solve_rho(1) == 1.0       # zeta_1(1) = 2: Newton starts on the root
     assert abs(cn.solve_rho(10) - 1.69972) < 1e-5
     rho = cn.solve_rho("infinite")
     assert abs(rho - 1.728647238998) < 1e-12
@@ -76,6 +76,15 @@ def test_solve_rho():
     assert abs(cn.zeta_truncated(cn.solve_rho(25), 25) - 2.0) < 1e-12
     with pytest.raises(DomainError):
         cn.solve_rho(0)
+
+
+def test_newton_left_preconditions():
+    assert cn._newton_left(lambda s: 1.0 - s, lambda s: -1.0, 0.0) == 1.0
+    with pytest.raises(ConvergenceError, match="not left of the root"):
+        cn._newton_left(lambda s: 1.0 - s, lambda s: -1.0, 2.0)
+    # exp(-s) is decreasing and convex with no root: every step moves right
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        cn._newton_left(lambda s: math.exp(-s), lambda s: -math.exp(-s), 0.0)
 
 
 def test_lagrange_scale():
@@ -98,7 +107,7 @@ def test_scale_agrees_with_sieve_sum():
 def test_sieve_sums_stream_bit_identical():
     # the same floats as summing over the whole prime list, tail included
     bound = 10**6
-    rho = cn.solve_rho(cn.INFINITE, 1e-12)
+    rho = cn.solve_rho(cn.INFINITE)
     inv_a = b_sum = t0 = 0.0
     for p in sieve_primes(bound):
         q = math.exp(rho * math.log(p))

@@ -20,8 +20,12 @@ def test_solve_c_closed_forms():
     assert ev.solve_c([0.0, 0.0]) == 0.0
     assert ev.solve_c([]) == 0.0
     assert abs(ev.solve_c([2.0, 0.0, 1.0, 0.0]) - ev.solve_c([2.0, 1.0])) < 1e-15
-    with pytest.raises(DomainError):
-        ev.solve_c([1.0, -0.5])
+    for bad in ([1.0, -0.5], [math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(DomainError):
+            ev.solve_c(bad)
+    big = [8e307, 5e307]                # t + x_j would overflow; c stays finite
+    c = ev.solve_c(big)
+    assert abs(math.fsum(math.log1p(v / c) for v in big) - math.log(2)) < 1e-15
 
 
 def test_c_bracket_and_scaling():

@@ -41,8 +41,11 @@ def test_optimum_gradient_condition():
 def test_optimum_domain():
     with pytest.raises(DomainError):
         op.optimum(0, 1.0)
+    for budget in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            op.optimum(3, budget)
     with pytest.raises(DomainError):
-        op.optimum(3, 0.0)
+        op.deficit_check([3.0, 2.0, 1.0], 3, math.inf)
 
 
 def test_deficit_at_optimum():
@@ -84,6 +87,8 @@ def test_choose_k():
         op.choose_k(100.0, 0.0)
     with pytest.raises(DomainError):
         op.choose_k(2.0, 1.5)                        # log n must exceed e
+    with pytest.raises(DomainError):
+        op.choose_k(math.inf, 1.5)
     raw = 1.5 * 1e6 ** (1 / 1.7286472389981836) / math.log(1e6)
     assert op.choose_k(1e6, 1.5).k == int(raw)
 
