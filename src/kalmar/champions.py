@@ -3,9 +3,14 @@
 Every champion N (each M < N has K(M) < K(N)) is of the form
 N = 2^a1 3^a2 ... p_k^ak with a1 >= a2 >= ... >= ak >= 1, so the search
 space up to a bound X is the finite set of such candidates.  They are
-generated by depth-first backtracking over the prime index, K is attached
-exactly, the list is sorted by N, and champions are the strict running
-maxima of K.  N = 1 (empty signature, K = 1) is champion rank 1.
+generated depth-first over the prime index, and K is attached exactly.
+Every candidate is a head (N = 1, or last exponent >= 2) followed by j >= 0
+exponents 1 on the next primes, its 1-tail; one packed sum gives K for a
+head and its whole 1-tail (exact.kalmar_tail, whose slots are 2 bits(X)
+wide because K(n) <= n^2).  Champions are the strict running maxima of K
+in N-order.  Before the sort, one pass drops every candidate whose K does
+not exceed the largest K at a smaller bit length, which no record can do.
+N = 1 (empty signature, K = 1) is champion rank 1.
 
 Candidate lists can be persisted as one 'signature;N;K' line per candidate
 under a header that pins the bound and package version.  The file is replaced
@@ -23,7 +28,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .constants import ConstantsTable
 from .errors import DomainError, ResourceLimitError
-from .exact import kalmar_macmahon, tau_star_column
+from .exact import kalmar_tail, tau_star_column
 from .primes import first_primes
 
 __all__ = [
@@ -77,53 +82,61 @@ def _admissible_primes(x: int) -> list[int]:
 def enumerate_candidates(x: int, max_candidates: int = 20_000_000) -> Iterator[Candidate]:
     """All N <= x of champion form, each once, with exact K; not in N-order.
 
-    Each node carries tau*_m = prod_h C(a_h+m-1, a_h) for m = 1..L, where L
-    is the largest Omega in its subtree, Omega(node) + max{w : N p_next^w <= x};
-    a child multiplies it by the column C(e+m-1, e) of its new exponent e.
+    The order is depth-first pre-order over the prime index.  A node whose
+    last exponent is 1 has no child but its own extension by 1, so every
+    candidate is h+1^j, j >= 0, for a head h: the root or a node whose last
+    exponent is >= 2.  Only heads are walked, from an explicit stack: a head
+    yields itself and its 1-tail, with K from one packed sum (kalmar_tail),
+    and then its children h+e, e >= 2, follow.  A head carries
+    tau*_m = prod_h C(a_h+m-1, a_h) for m = 1..L, where L is the largest
+    Omega in its subtree, Omega(head) + max{w : N p_next^w <= x}; a child
+    multiplies it by the column C(e+m-1, e) of its new exponent e.
     """
     if x < 1:
         raise DomainError("the bound must be >= 1")
-    count = 0
+    primes = _admissible_primes(x)
+    top = x.bit_length() - 1                  # max{w : 2^w <= x}
+    ones = [(1,) * j for j in range(len(primes) + 1)]
     cols: dict[int, list[int]] = {}
-
-    def emit(sig: tuple[int, ...], value: int, taus: list[int]) -> Candidate:
-        nonlocal count
-        count += 1
+    count = 0
+    # a head waiting its turn: N, signature, Omega, its parent's tau*, its L
+    stack = [(1, (), 0, [1] * top, top)]
+    while stack:
+        value, sig, om, taus, length = stack.pop()
+        idx = len(sig)                        # primes[idx] is the next prime
+        if sig:
+            e = sig[-1]
+            col = cols.get(e)
+            if col is None:
+                col = cols[e] = tau_star_column(e, top)
+            taus = list(map(mul, taus, col[:length]))
+        values = [value]
+        for p in primes[idx:]:
+            if values[-1] * p > x:
+                break
+            values.append(values[-1] * p)
+        count += len(values)
         if count > max_candidates:
             raise ResourceLimitError(f"more than {max_candidates} candidates")
-        return Candidate(sig, value, kalmar_macmahon(sig, taus))
-
-    top = x.bit_length() - 1                  # max{w : 2^w <= x}
-    root = [1] * top
-    yield emit((), 1, root)
-    primes = _admissible_primes(x)
-
-    def rec(idx: int, value: int, prefix: tuple[int, ...], prev_exp: int,
-            taus: list[int]) -> Iterator[Candidate]:
+        ks = kalmar_tail(taus, om, len(values) - 1, x)
+        yield from map(Candidate, [sig + t for t in ones[:len(values)]], values, ks)
+        if idx == len(primes):
+            continue
         p = primes[idx]
         q = primes[idx + 1] if idx + 1 < len(primes) else 0
-        om = sum(prefix)
-        v = value * p
-        e = 1
-        while e <= prev_exp and v <= x:
-            sig = prefix + (e,)
+        heads = []
+        v = value * p * p
+        e = 2
+        while e <= (sig[-1] if sig else top) and v <= x:
             length = om + e
             t = v * q
             while q and t <= x:
                 length += 1
                 t *= q
-            col = cols.get(e)
-            if col is None:
-                col = cols[e] = tau_star_column(e, top)
-            child = list(map(mul, taus, col[:length]))
-            yield emit(sig, v, child)
-            if q:
-                yield from rec(idx + 1, v, sig, e, child)
+            heads.append((v, sig + (e,), om + e, taus, length))
             v *= p
             e += 1
-
-    if primes:
-        yield from rec(0, 1, (), x.bit_length(), root)
+        stack.extend(reversed(heads))
 
 
 def _record(rank: int, cand: Candidate, primes: list[int]) -> ChampionRecord:
@@ -143,16 +156,31 @@ def _record(rank: int, cand: Candidate, primes: list[int]) -> ChampionRecord:
 
 
 def champions_from_candidates(candidates: Iterable[Candidate]) -> list[ChampionRecord]:
-    """Sort by N, keep strict record-setters of K, assign ranks."""
-    ordered = sorted(candidates, key=lambda c: c.value)
+    """Strict record-setters of K in N-order, ranked.
+
+    A record beats every smaller N, so one pass drops each candidate whose K
+    does not exceed the largest K among candidates of smaller bit length
+    (all smaller than it); only the rest are sorted by N and scanned.
+    """
+    cands = candidates if isinstance(candidates, list) else list(candidates)
+    best: dict[int, int] = {}                 # bit length -> largest K
+    for c in cands:
+        b = c.value.bit_length()
+        if c.k_value > best.get(b, -1):
+            best[b] = c.k_value
+    floor, running = {}, -1                   # largest K below each bit length
+    for b in sorted(best):
+        floor[b], running = running, max(running, best[b])
+    ordered = sorted((c for c in cands if c.k_value > floor[c.value.bit_length()]),
+                     key=lambda c: c.value)
     if not ordered:
         return []
     primes = first_primes(max((len(c.signature) for c in ordered), default=1) or 1)
     out: list[ChampionRecord] = []
-    best = -1
+    best_k = -1
     for cand in ordered:
-        if cand.k_value > best:
-            best = cand.k_value
+        if cand.k_value > best_k:
+            best_k = cand.k_value
             out.append(_record(len(out) + 1, cand, primes))
     return out
 

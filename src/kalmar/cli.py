@@ -46,6 +46,8 @@ class RunConfig:
             raise DomainError("sieve bound must be >= 10000")
         if self.output_format not in ("text", "csv"):
             raise DomainError(f"unknown format {self.output_format!r}")
+        if self.digits < 1:
+            raise DomainError(f"--digits must be >= 1, got {self.digits}")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:

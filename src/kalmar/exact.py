@@ -13,7 +13,11 @@ Three independent methods are provided and must agree everywhere:
     expansion K(n) = (1/2) sum_r tau_r(n)/2^r.
 
 MacMahon's formula is one weighted sum of the vector tau*_m, m <= Omega, with
-weights from a two-term recurrence; the champion search passes tau* in.
+weights from a two-term recurrence.  kalmar_tail evaluates a head h and its
+whole 1-tail h+1^j (h with j extra exponents 1) in one packed sum: slot j of
+the result, B bits wide, is K(h+1^j).  The slots cannot carry into each other
+because K(n) <= n^2 and every n is below the bound that sets B.  The champion
+search passes tau* of each head in; kalmar_macmahon is the tail-free case.
 
 Everything in this module is exact; no floating point anywhere.
 """
@@ -38,6 +42,7 @@ __all__ = [
     "small_omega",
     "tau_r",
     "tau_star_column",
+    "kalmar_tail",
     "kalmar_macmahon",
     "kalmar_recursive",
     "kalmar_series_bounds",
@@ -92,25 +97,72 @@ def _weights(om: int) -> tuple[int, ...]:
     return tuple(w)
 
 
+@lru_cache(maxsize=64)
+def _tail_powers(tail: int, bits: int) -> tuple[int, ...]:
+    """(Z[1], ..., Z[bits/2 - 1]) with Z[m] = sum_{j<=tail} m^j 2^(bits j)."""
+    return tuple(sum(m ** j << bits * j for j in range(tail + 1))
+                 for m in range(1, bits // 2))
+
+
+def kalmar_tail(taus: Sequence[int], om: int, tail: int = 0,
+                bound: int = 1) -> list[int]:
+    """[K(h), K(h+1), ..., K(h+1^tail)] for a head h with Omega(h) = om,
+    where h+1^j is h with j extra exponents 1 on fresh primes.
+
+    taus holds tau*_1..tau*_L of h for some L >= om + tail.  MacMahon's
+    K = sum_{m<=W} tau*_m w_W[m] holds for every W >= Omega, since the
+    higher differences vanish, and tau*_m(h+1^j) = tau*_m(h) m^j.  So with
+    W = om + tail and Z[m] = sum_{j<=tail} m^j 2^(Bj), one sum
+    S = sum_m tau*_m(h) w_W[m] Z[m] holds K(h+1^j) in its slot j, bits
+    Bj..Bj+B-1; tail = 0 is the single dot product of kalmar_macmahon.
+
+    Every h+1^j must be <= bound, and B = 2 bound.bit_length().  The slots
+    then decode exactly, because 0 < K(n) <= n^2 <= bound^2 < 2^B.  Proof of
+    K(n) <= n^2, by induction: K(1) = 1, and for n >= 2
+    K(n) = sum_{d|n, d<n} K(d) <= sum_{e|n, e>=2} (n/e)^2 <= n^2 (zeta(2) - 1).
+    K(1) = 1 is the one case with tau*_0 != 0, so a root (om = 0) gets
+    slot 0 set to 1.
+    """
+    width = om + tail
+    if len(taus) < width:
+        raise PreconditionError(f"need {width} tau* values, got {len(taus)}")
+    w = _weights(width)
+    if not tail:
+        return [sum(map(mul, taus, w)) if om else 1]
+    if width >= bound.bit_length():
+        raise PreconditionError(f"no n <= {bound} has Omega = {width}")
+    bits = 2 * bound.bit_length()
+    s = sum(map(mul, map(mul, taus, w), _tail_powers(tail, bits)))
+    mask = (1 << bits) - 1
+    out = [(s >> bits * j) & mask for j in range(tail + 1)]
+    if not om:
+        out[0] = 1
+    return out
+
+
 def kalmar_macmahon(sig: Iterable[int], taus: Sequence[int] | None = None) -> int:
     """Exact K(n) by MacMahon's formula grouped by m, with tau*_m =
     prod_h C(a_h+m-1, a_h) the ordered m-tuples of factors >= 1 with product n:
     K = sum_{m<=Om} tau*_m w[m],  w[m] = sum_{j=m}^{Om} (-1)^(j-m) C(j, m).
     C(j, m) = C(j+1, m+1) - C(j, m+1) gives w[Om] = 1 and
     w[m] = 2 w[m+1] + (-1)^(Om-m) C(Om+1, m+1): O(Om) terms, cached per Om.
-    taus, if given, holds tau*_1..tau*_L of sig for some L >= Om, as the
-    candidate search carries it; otherwise it is built here."""
-    if taus is None:
-        sig = canonical_signature(sig)
-        taus = [1] * sum(sig)
-        for a in set(sig):
-            col, c = tau_star_column(a, len(taus)), sig.count(a)
-            taus = list(map(mul, taus, col if c == 1 else [x ** c for x in col]))
+    taus, if given, holds tau*_1..tau*_L of sig for some L >= Om; otherwise
+    it is built here.  Raises ResourceLimitError before any work when
+    Om > MACMAHON_MAX_OMEGA."""
+    sig = canonical_signature(sig)
     om = sum(sig)
-    if len(taus) < om:
-        raise PreconditionError(f"need {om} tau* values, got {len(taus)}")
-    return sum(map(mul, taus, _weights(om))) if om else 1
+    if om > MACMAHON_MAX_OMEGA:
+        raise ResourceLimitError(f"Omega = {om} exceeds cap {MACMAHON_MAX_OMEGA}")
+    if taus is None:
+        taus = [1] * om
+        for a in set(sig):
+            col, c = tau_star_column(a, om), sig.count(a)
+            taus = list(map(mul, taus, col if c == 1 else [x ** c for x in col]))
+    return kalmar_tail(taus, om)[0]
 
+
+# cap on Omega for kalmar_macmahon: a cold (1,)*4000 takes ~2 s, (1,)*8000 ~15 s
+MACMAHON_MAX_OMEGA = 4096
 
 _MEMO: dict[Signature, int] = {(): 1}
 # cap on recursive_steps(sig), a few microseconds a step; Omega <= 12 needs <= 10235

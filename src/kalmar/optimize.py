@@ -73,7 +73,7 @@ def optimum(k: int, budget: float) -> OptimumPoint:
     c_num = solve_c(x_star)
     f_num = f_of(x_star)
     grad_resid = max(
-        abs(math.log((c_num + x) / x) - rho_k * lp) / (rho_k * lp)
+        abs(math.log1p(c_num / x) - rho_k * lp) / (rho_k * lp)
         for x, lp in zip(x_star, logs)
     )
     checks = (
@@ -119,10 +119,16 @@ def deficit_check(alpha: Sequence[float], k: int, budget: float) -> DeficitRepor
     if used > budget * (1.0 + 1e-12) + 1e-12:
         raise PreconditionError(f"alpha uses {used} > budget {budget}")
     f_alpha = f_of(alpha)
-    dev = [abs(a - x) * lp for a, x, lp in zip(alpha[: k - 1], opt.x_star, logs)]
-    denom = 4.0 * budget * logs[-1]
-    deficit = math.fsum(dev) ** 2 / denom
-    deficit_weak = math.fsum(d * d for d in dev) / denom
+    # the sums are taken at scale 2^-e, e the budget's binary exponent; a
+    # power of two rounds nothing, so the results are those of the unscaled
+    # sums, and no square overflows for budgets near the float limit
+    e = math.frexp(budget)[1]
+    dev = [math.ldexp(abs(a - x) * lp, -e)
+           for a, x, lp in zip(alpha[: k - 1], opt.x_star, logs)]
+    denom = 4.0 * math.ldexp(budget, -e) * logs[-1]
+    s = math.fsum(dev)
+    deficit = math.ldexp(s * s / denom, e)
+    deficit_weak = math.ldexp(math.fsum(d * d for d in dev) / denom, e)
     return DeficitReport(
         f_alpha=f_alpha,
         f_star=opt.f_star,

@@ -1,6 +1,8 @@
 """Champion enumeration, census, stats, laws, and the candidate cache."""
 
+import hashlib
 import os
+import random
 
 import pytest
 
@@ -9,6 +11,7 @@ from kalmar import constants as cn
 from kalmar import exact as ex
 from kalmar import verify as vf
 from kalmar.errors import DomainError, ResourceLimitError
+from kalmar.primes import factorize
 
 
 def test_candidates_x12():
@@ -51,6 +54,65 @@ def test_carried_taus_match_standalone_kernel():
 def test_candidates_match_recursion():
     for c in ch.enumerate_candidates(10**5):
         assert c.k_value == ex.kalmar_recursive(c.signature), c.signature
+
+
+def test_candidate_stream_pinned():
+    # the (signature, N, K) stream in DFS order, as the per-candidate kernel
+    # produced it before heads and 1-tails were evaluated together
+    h = hashlib.sha256()
+    count = 0
+    for c in ch.enumerate_candidates(10**18):
+        h.update(f"{','.join(map(str, c.signature))};{c.value};{c.k_value}\n".encode())
+        count += 1
+    assert count == 32749
+    assert h.hexdigest() == "d055ce92a1ff7d681a23d782a93fb9e7380069d1a4911c4c5855916d05adc44d"
+
+
+def test_every_small_bound_against_recursion():
+    def champion_form(n):
+        fac = factorize(n)
+        return ([p for p, _ in fac] == [2, 3, 5, 7, 11][:len(fac)]
+                and all(a >= b for (_, a), (_, b) in zip(fac, fac[1:])))
+
+    for x in range(1, 301):
+        cands = list(ch.enumerate_candidates(x))
+        assert sorted(c.value for c in cands) == [n for n in range(1, x + 1) if champion_form(n)]
+        for c in cands:
+            assert c.k_value == ex.kalmar_recursive(c.signature), (x, c)
+
+
+def plain_records(cands):
+    out, best = [], -1
+    for c in sorted(cands, key=lambda c: c.value):
+        if c.k_value > best:
+            best = c.k_value
+            out.append(c)
+    return out
+
+
+def test_record_prefilter_matches_full_scan():
+    def check(cands):
+        recs = ch.champions_from_candidates(cands)
+        assert [r.candidate for r in recs] == plain_records(cands)
+        assert [r.rank for r in recs] == list(range(1, len(recs) + 1))
+
+    cands = list(ch.enumerate_candidates(10**9))
+    rng = random.Random(10)
+    for _ in range(3):
+        rng.shuffle(cands)
+        check(cands)
+    gen = [r.candidate for r in ch.champions_from_candidates(ch.enumerate_candidates(10**9))]
+    assert gen == plain_records(cands)
+    check([])
+    C = ch.Candidate
+    # equal K on both sides of the 7 | 8 and 15 | 16 bit-length edges
+    edges = [C((), 7, 5), C((), 8, 5), C((), 6, 3), C((), 9, 6), C((), 15, 6),
+             C((), 16, 6), C((), 17, 7), C((), 1, 1), C((), 31, 7), C((), 32, 8)]
+    check(edges)
+    check(edges[::-1])
+    for _ in range(200):
+        values = rng.sample(range(1, 300), rng.randint(1, 40))
+        check([C((), v, rng.randint(1, 6)) for v in values])
 
 
 def test_champions_x12():

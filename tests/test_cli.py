@@ -147,6 +147,9 @@ def test_exit_codes():
     assert run_cli("--help").returncode == 0
     assert run_cli("constants", "--precision", "1e-6").returncode == 1     # removed flags
     assert run_cli("k", "--n", "12", "--workers", "2").returncode == 1
+    for digits in ("0", "-3"):
+        cp = run_cli("constants", "--digits", digits)
+        assert cp.returncode == 1 and "--digits must be >= 1" in cp.stderr, cp.stderr
 
 
 def test_non_finite_input_exit_1():
@@ -156,6 +159,16 @@ def test_non_finite_input_exit_1():
         cp = run_cli(*argv)
         assert cp.returncode == 1 and cp.stdout == "", argv
         assert "finite" in cp.stderr, cp.stderr
+
+
+def test_deficit_near_float_limit():
+    from kalmar.cli import fmt_real
+    from kalmar.constants import solve_rho
+    cp = run_cli("deficit", "--signature", "3,2,1", "--A", "1e308")
+    assert cp.returncode == 0, cp.stderr
+    values = dict(line.split() for line in cp.stdout.splitlines()[1:])
+    assert values["F_star"] == fmt_real(solve_rho(3) * 1e308)
+    assert all(v not in ("inf", "nan") for v in values.values())
 
 
 def test_golden_default_output():
@@ -180,6 +193,12 @@ def test_resource_limits_exit_2():
     assert time.monotonic() - t0 < 10
     cp = run_cli("constants", "--sieve-bound", "300000000")
     assert cp.returncode == 2 and "exceeds configured capacity" in cp.stderr
+    for argv in (("k", "--signature", "1000000"), ("approx", "--signature", "200000")):
+        t0 = time.monotonic()
+        cp = subprocess.run([sys.executable, "-m", "kalmar", *argv],
+                            capture_output=True, text=True, timeout=60)
+        assert cp.returncode == 2 and "cap" in cp.stderr, argv
+        assert time.monotonic() - t0 < 10, argv
 
 
 def test_verify_fast():

@@ -9,6 +9,7 @@ import pytest
 
 from kalmar import exact as ex
 from kalmar.errors import PreconditionError, ResourceLimitError
+from kalmar.primes import first_primes
 
 
 def brute_ordered_factorizations(n: int) -> int:
@@ -179,6 +180,36 @@ def test_tau_star_column_and_taus():
     assert ex.kalmar_macmahon(sig, taus) == ex.kalmar_macmahon(sig)
     with pytest.raises(PreconditionError):
         ex.kalmar_macmahon(sig, taus[:7])
+
+
+def test_tail_kernel_matches_macmahon():
+    # heads h (root or last exponent >= 2) with 1-tails up to J = 20, at the
+    # tightest bound N(h+1^J), so the slots are as narrow as they get
+    primes = first_primes(26)
+    rng = random.Random(10)
+    heads = [()] + [tuple(sorted((rng.randint(2, 9) for _ in range(rng.randint(1, 6))),
+                                 reverse=True)) for _ in range(40)]
+    for head in heads:
+        for tail in range(21):
+            sig = head + (1,) * tail
+            bound = math.prod(p ** a for p, a in zip(primes, sig))
+            om = sum(head)
+            taus = [ex.tau_r(head, m) for m in range(1, om + tail + 1)]
+            got = ex.kalmar_tail(taus, om, tail, bound)
+            assert got == [ex.kalmar_macmahon(head + (1,) * j) for j in range(tail + 1)], sig
+            assert max(got) <= bound ** 2
+    with pytest.raises(PreconditionError):
+        ex.kalmar_tail([1, 1], 0, 3, 100)                # too few tau* values
+    with pytest.raises(PreconditionError):
+        ex.kalmar_tail([1] * 8, 0, 4, 15)                # Omega 4 means N >= 16
+
+
+def test_macmahon_work_guard():
+    cap = ex.MACMAHON_MAX_OMEGA
+    assert ex.kalmar_macmahon((1,) * 4 + (cap - 4,)) > 0
+    for sig in ((cap + 1,), (1,) * (cap + 1), (10**6,)):
+        with pytest.raises(ResourceLimitError, match="cap"):
+            ex.kalmar_macmahon(sig)
 
 
 def test_macmahon_large_omega_against_series():
