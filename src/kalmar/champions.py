@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .constants import ConstantsTable
@@ -48,15 +47,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class Candidate:
-    signature: tuple[int, ...]
-    value: int          # N = 2^a1 3^a2 ... p_k^ak
-    k_value: int        # K(N)
+    """A champion-form N with its signature and exact K(N).
+
+    A plain slots class, not a NamedTuple: the census holds one per
+    candidate, and a tuple of three costs 16 bytes more than three slots.
+    Equality, hashing and repr are over (signature, value, k_value).
+    """
+
+    __slots__ = ("signature", "value", "k_value")
+
+    def __init__(self, signature: tuple[int, ...], value: int, k_value: int) -> None:
+        self.signature = signature
+        self.value = value          # N = 2^a1 3^a2 ... p_k^ak
+        self.k_value = k_value      # K(N)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.signature, self.value, self.k_value) == \
+            (other.signature, other.value, other.k_value)
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.value, self.k_value))
+
+    def __repr__(self) -> str:
+        return (f"Candidate(signature={self.signature!r}, value={self.value!r}, "
+                f"k_value={self.k_value!r})")
 
 
-@dataclass(frozen=True)
-class ChampionRecord:
+class ChampionRecord(NamedTuple):
     rank: int
     candidate: Candidate
     omega: int                          # distinct prime factors
@@ -189,8 +209,7 @@ def find_champions(x: int, max_candidates: int = 20_000_000) -> list[ChampionRec
     return champions_from_candidates(enumerate_candidates(x, max_candidates))
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     bound: int
     candidate_count: int
     champion_count: int
@@ -214,8 +233,7 @@ def census(x: int, candidates: Iterable[Candidate] | None = None,
     )
 
 
-@dataclass(frozen=True)
-class ChampionDiagnostics:
+class ChampionDiagnostics(NamedTuple):
     rank: int
     log_n: float
     omega_residual: float | None            # (Omega - b log N) / (log N)^delta
@@ -254,8 +272,7 @@ def champion_stats(rec: ChampionRecord, tab: ConstantsTable) -> ChampionDiagnost
     )
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 

@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import champions as ch
 from . import constants as cn
@@ -32,14 +31,18 @@ ENV_CACHE = "KALMAR_CACHE"
 ENV_SIEVE = "KALMAR_SIEVE_BOUND"
 
 
-@dataclass
 class RunConfig:
-    sieve_bound: int | None = None
-    kappa: float = 1.5
-    omega_max: int = 12
-    cache_path: str | None = None
-    output_format: str = "text"
-    digits: int = 12
+    """Settings of one run: these defaults, then the environment, then flags."""
+
+    def __init__(self, sieve_bound: int | None = None, kappa: float = 1.5,
+                 omega_max: int = 12, cache_path: str | None = None,
+                 output_format: str = "text", digits: int = 12) -> None:
+        self.sieve_bound = sieve_bound
+        self.kappa = kappa
+        self.omega_max = omega_max
+        self.cache_path = cache_path
+        self.output_format = output_format
+        self.digits = digits
 
     def validate(self) -> None:
         if self.sieve_bound is not None and self.sieve_bound < 10_000:

@@ -20,9 +20,9 @@ cross-check (see prime_sum_check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 from .primes import first_primes, iter_primes, nth_prime
@@ -222,8 +222,7 @@ def rho_gap_coefficient() -> float:
     return lagrange_scale(INFINITE) / (solve_rho(INFINITE) - 1.0)
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
+class ConstantsTable(NamedTuple):
     rho: float          # root of zeta(s) = 2
     a: float            # 1/L'(rho)
     b: float            # sum of beta_i
@@ -243,8 +242,7 @@ class ConstantsTable:
         return tuple(self.a / (p ** self.rho - 1.0) for p in first_primes(k))
 
 
-@dataclass(frozen=True)
-class TruncatedConstants:
+class TruncatedConstants(NamedTuple):
     k: int
     rho_k: float
     a_k: float
@@ -287,8 +285,7 @@ def truncated_constants(k: int) -> TruncatedConstants:
     return TruncatedConstants(k=k, rho_k=solve_rho(k), a_k=lagrange_scale(k))
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     k: int
     rho_k: float
     a_k: float

@@ -20,8 +20,7 @@ solving and A is assembled through the exp(F)/s form, where s(0) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .constants import LOG2, _newton_left
 from .errors import ConvergenceError, DomainError, KalmarError, ResourceLimitError
@@ -144,8 +143,7 @@ def _exp_or_inf(v: float) -> float:
     return math.exp(v) if v < 709.0 else math.inf
 
 
-@dataclass(frozen=True)
-class EvansEstimate:
+class EvansEstimate(NamedTuple):
     c: float
     t: float              # T(x)
     f: float              # F(x)
@@ -200,8 +198,7 @@ def evans_estimate(x: Sequence[float]) -> EvansEstimate:
     return est
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     omega: int
     min_ratio: float
     argmin: tuple[int, ...]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OptimumPoint:
+class OptimumPoint(NamedTuple):
     k: int
     budget: float           # A; log n when derived from an integer
     rho_k: float
@@ -88,8 +86,7 @@ def optimum(k: int, budget: float) -> OptimumPoint:
                         x_star=x_star, c_star=c_star, f_star=f_star)
 
 
-@dataclass(frozen=True)
-class DeficitReport:
+class DeficitReport(NamedTuple):
     f_alpha: float
     f_star: float
     deficit: float          # (sum_{i<k} |a_i - x_i*| log p_i)^2 / (4 A log p_k)
@@ -203,8 +200,7 @@ def largest_divisor_leq(k: int, bound, max_k: int = 40) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     n_log: float
     k: int
     kappa: float

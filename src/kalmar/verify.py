@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import champions as ch
 from . import constants as cn
@@ -23,8 +23,7 @@ from .primes import factorize, first_primes
 __all__ = ["CheckResult", "full_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -357,7 +356,7 @@ def check_witness_sweep(log_ns=tuple(range(50, 1001, 50))) -> CheckResult:
             if not math.log(c3) + lo_u <= w.log_k_lower <= math.log(c4) + hi_u:
                 return CheckResult("witness_sweep", False,
                                    f"exact K(m) escapes the fitted bracket at {ln}")
-        env = (rho * ln - w.log_k_lower) * math.log(math.log(ln)) / ln ** (1.0 / rho)
+        env = (rho * ln - w.log_k_lower) * math.log(ln) / ln ** (1.0 / rho)
         env_max = max(env_max, env)
     return CheckResult("witness_sweep", True,
                        f"log n in {log_ns[0]}..{log_ns[-1]}; defect envelope C6' <= {env_max:.3f}")

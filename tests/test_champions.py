@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import sys
 
 import pytest
 
@@ -187,6 +188,23 @@ def test_census_alpha_gt1():
            if r.last_exponent is not None and r.last_exponent > 1]
     assert cen.alpha_gt1_count == len(gt1)
     assert cen.largest_alpha_gt1.candidate.value == max(r.candidate.value for r in gt1)
+
+
+def test_candidate_layout():
+    # three slots and no __dict__: the census holds one per candidate
+    class ThreeSlots:
+        __slots__ = ("a", "b", "c")
+
+    c = ch.Candidate((2, 1), 12, 8)
+    assert not hasattr(c, "__dict__")
+    assert sys.getsizeof(c) <= sys.getsizeof(ThreeSlots())
+    twin = ch.Candidate((2, 1), 12, 8)
+    assert c == twin and c is not twin and hash(c) == hash(twin)
+    assert hash(c) == hash(((2, 1), 12, 8))
+    assert c != ch.Candidate((2, 1), 12, 9) and c != ch.Candidate((3,), 12, 8)
+    assert c != ((2, 1), 12, 8)                 # not a tuple
+    assert len({c, twin, ch.Candidate((), 1, 1)}) == 2
+    assert repr(c) == "Candidate(signature=(2, 1), value=12, k_value=8)"
 
 
 def test_cache_roundtrip(tmp_path):

@@ -171,11 +171,26 @@ def test_deficit_near_float_limit():
     assert all(v not in ("inf", "nan") for v in values.values())
 
 
+def test_import_contract():
+    # a one-shot query pays for every module kalmar.cli imports; perfbench's
+    # tracer reads sys.modules["kalmar.<layer>"] for each layer after it
+    code = ("import sys, kalmar.cli; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('kalmar.') or m == 'dataclasses')))")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    loaded = set(cp.stdout.split())
+    assert "dataclasses" not in loaded
+    layers = ("primes", "exact", "constants", "evans", "optimize", "champions",
+              "verify", "cli")
+    assert {f"kalmar.{m}" for m in layers} <= loaded, loaded
+
+
 def test_golden_default_output():
     # default 12-digit stdout, pinned byte for byte
     with open(os.path.join(os.path.dirname(__file__), "golden_cli.txt")) as fh:
         cases = fh.read().split("$ kalmar ")[1:]
-    assert len(cases) == 5
+    assert len(cases) == 10
     for case in cases:
         argv, expected = case.split("\n", 1)
         cp = run_cli(*argv.split())

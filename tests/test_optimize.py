@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kalmar import constants as cn
 from kalmar import evans as ev
 from kalmar import exact as ex
 from kalmar import optimize as op
@@ -144,3 +145,18 @@ def test_witness_monotone_growth():
 def test_witness_sweep_invariants():
     res = vf.check_witness_sweep(tuple(range(50, 501, 50)))
     assert res.ok, res.detail
+
+
+def test_witness_defect_normalization():
+    # D = (rho log n - log K(m)) log log n / (log n)^(1/rho), by hand, for
+    # the witness at log n = 50, whose K(m) is exact
+    log_n = 50.0
+    w = op.witness_m(log_n)
+    assert w.exact
+    log_k = math.log(ex.kalmar_macmahon(w.m_signature))
+    rho = cn.solve_rho()
+    d = (rho * log_n - log_k) * math.log(log_n) / log_n ** (1.0 / rho)
+    res = vf.check_witness_sweep((50,))
+    assert res.ok, res.detail
+    assert res.detail.endswith(f"C6' <= {d:.3f}"), (res.detail, d)
+    assert 5.0 < d < 6.0
