@@ -8,13 +8,15 @@ Every candidate is a head (N = 1, or last exponent >= 2) followed by j >= 0
 exponents 1 on the next primes, its 1-tail; one packed sum gives K for a
 head and its whole 1-tail (exact.kalmar_tail, whose slots are 2 bits(X)
 wide because K(n) <= n^2).  Champions are the strict running maxima of K
-in N-order.  Before the sort, one pass drops every candidate whose K does
-not exceed the largest K at a smaller bit length, which no record can do.
-N = 1 (empty signature, K = 1) is champion rank 1.
+in N-order.  N = 1 (empty signature, K = 1) is champion rank 1.
 
-Candidate lists can be persisted as one 'signature;N;K' line per candidate
-under a header that pins the bound and package version.  The file is replaced
-atomically; a stale or unparsable cache is rejected on load.
+The census is one streaming pass: it counts the candidates and keeps only
+those whose K exceeds every K seen at a smaller bit length, which every
+record does; it never holds the whole candidate list.  The census can be
+persisted as one 'signature;N;K' line per record under a header that
+pins the bound, the package version, the candidate count and a digest of the
+body.  The file is replaced atomically; on load every record is rechecked,
+and a stale, unparsable or failing cache loads as a miss.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import __version__
 from .constants import ConstantsTable
 from .errors import DomainError, ResourceLimitError
-from .exact import kalmar_tail, tau_star_column
+from .exact import kalmar_macmahon, kalmar_tail, tau_star_column
 from .primes import first_primes
 
 __all__ = [
@@ -39,7 +41,9 @@ __all__ = [
     "enumerate_candidates",
     "champions_from_candidates",
     "find_champions",
+    "candidate_census",
     "census",
+    "census_from_records",
     "champion_stats",
     "verify_champion_laws",
     "save_candidates",
@@ -161,48 +165,69 @@ def enumerate_candidates(x: int, max_candidates: int = 20_000_000) -> Iterator[C
 
 def _record(rank: int, cand: Candidate, primes: list[int]) -> ChampionRecord:
     sig = cand.signature
-    profile = tuple(
-        (j, primes[sum(1 for a in sig if a >= j) - 1])
-        for j in range(1, sig[0] + 1)
-    ) if sig else ()
+    profile = []                # (j, P_j), P_j the last prime with exponent >= j
+    i = len(sig)
+    for j in range(1, sig[0] + 1 if sig else 1):
+        while sig[i - 1] < j:   # sig is non-increasing
+            i -= 1
+        profile.append((j, primes[i - 1]))
     return ChampionRecord(
         rank=rank,
         candidate=cand,
         omega=len(sig),
         big_omega=sum(sig),
         last_exponent=sig[-1] if sig else None,
-        p_profile=profile,
+        p_profile=tuple(profile),
     )
 
 
-def champions_from_candidates(candidates: Iterable[Candidate]) -> list[ChampionRecord]:
-    """Strict record-setters of K in N-order, ranked.
+def candidate_census(candidates: Iterable[Candidate]) -> tuple[int, list[ChampionRecord]]:
+    """One pass over the candidates: their count and the ranked K-records.
 
-    A record beats every smaller N, so one pass drops each candidate whose K
-    does not exceed the largest K among candidates of smaller bit length
-    (all smaller than it); only the rest are sorted by N and scanned.
+    A record beats every smaller N, so it beats every K at a smaller bit
+    length.  floor[b] is the largest K seen so far below bit length b, and
+    a candidate is kept only if its K exceeds its floor.  Floors only rise,
+    so no record is dropped; when the kept list doubles it is filtered again
+    against the current floors.  At the end the final floors filter it once
+    more, and the rest are sorted by N and scanned.  The input is consumed
+    once and never held whole.
     """
-    cands = candidates if isinstance(candidates, list) else list(candidates)
-    best: dict[int, int] = {}                 # bit length -> largest K
-    for c in cands:
+    floor = [-1]            # the last slot covers every longer bit length
+    kept: list[Candidate] = []
+    limit = 4096            # refilter when kept passes this
+    count = 0
+    for c in candidates:
+        count += 1
+        k = c.k_value
         b = c.value.bit_length()
-        if c.k_value > best.get(b, -1):
-            best[b] = c.k_value
-    floor, running = {}, -1                   # largest K below each bit length
-    for b in sorted(best):
-        floor[b], running = running, max(running, best[b])
-    ordered = sorted((c for c in cands if c.k_value > floor[c.value.bit_length()]),
+        if b + 1 >= len(floor):
+            floor += [floor[-1]] * (b + 2 - len(floor))
+        if k > floor[b]:
+            kept.append(c)
+            j = b + 1                       # floor is non-decreasing in b
+            while j < len(floor) and floor[j] < k:
+                floor[j] = k
+                j += 1
+            if len(kept) > limit:
+                kept = [c for c in kept if c.k_value > floor[c.value.bit_length()]]
+                limit = max(4096, 2 * len(kept))
+    ordered = sorted((c for c in kept if c.k_value > floor[c.value.bit_length()]),
                      key=lambda c: c.value)
     if not ordered:
-        return []
-    primes = first_primes(max((len(c.signature) for c in ordered), default=1) or 1)
+        return count, []
+    primes = first_primes(max(len(c.signature) for c in ordered) or 1)
     out: list[ChampionRecord] = []
     best_k = -1
     for cand in ordered:
         if cand.k_value > best_k:
             best_k = cand.k_value
             out.append(_record(len(out) + 1, cand, primes))
-    return out
+    return count, out
+
+
+def champions_from_candidates(candidates: Iterable[Candidate]) -> list[ChampionRecord]:
+    """Strict record-setters of K in N-order, ranked (see candidate_census)."""
+    return candidate_census(candidates)[1]
 
 
 def find_champions(x: int, max_candidates: int = 20_000_000) -> list[ChampionRecord]:
@@ -217,20 +242,25 @@ class CensusResult(NamedTuple):
     largest_alpha_gt1: ChampionRecord | None
 
 
-def census(x: int, candidates: Iterable[Candidate] | None = None,
-           max_candidates: int = 20_000_000) -> CensusResult:
-    """Counts over candidates and champions up to x."""
-    cands = list(candidates) if candidates is not None \
-        else list(enumerate_candidates(x, max_candidates))
-    champs = champions_from_candidates(cands)
-    gt1 = [r for r in champs if r.last_exponent is not None and r.last_exponent > 1]
+def census_from_records(x: int, candidate_count: int,
+                        records: list[ChampionRecord]) -> CensusResult:
+    """The census counts up to x from the candidate count and the records."""
+    gt1 = [r for r in records if r.last_exponent is not None and r.last_exponent > 1]
     return CensusResult(
         bound=x,
-        candidate_count=len(cands),
-        champion_count=len(champs),
+        candidate_count=candidate_count,
+        champion_count=len(records),
         alpha_gt1_count=len(gt1),
         largest_alpha_gt1=gt1[-1] if gt1 else None,
     )
+
+
+def census(x: int, candidates: Iterable[Candidate] | None = None,
+           max_candidates: int = 20_000_000) -> CensusResult:
+    """Counts over candidates and champions up to x, in one streaming pass."""
+    if candidates is None:
+        candidates = enumerate_candidates(x, max_candidates)
+    return census_from_records(x, *candidate_census(candidates))
 
 
 class ChampionDiagnostics(NamedTuple):
@@ -299,21 +329,31 @@ def verify_champion_laws(records: list[ChampionRecord]) -> LawReport:
 
 # --- persistence -----------------------------------------------------------
 
-def _header(x: int, count: int) -> str:
-    return f"# kalmar-candidates X={x} version={__version__} count={count}"
+_MAGIC = "# kalmar-census"
 
 
-def save_candidates(path: str, x: int, candidates: list[Candidate]) -> None:
-    """Write the cache to a temporary file beside path, then rename it into
-    place, so a reader sees the old file or the whole new one."""
-    ordered = sorted(candidates, key=lambda c: c.value)
+def _digest(body: str) -> str:
+    """CRC-32 of the body: it catches a damaged or truncated file, and the
+    recheck on load catches a wrong record.  hashlib would load OpenSSL,
+    3.6 MB of RSS in a process that otherwise peaks near 16 MB."""
+    import zlib                 # only a cache read or write pays for it
+    return f"{zlib.crc32(body.encode('ascii')):08x}"
+
+
+def save_candidates(path: str, x: int, candidate_count: int,
+                    records: list[ChampionRecord]) -> None:
+    """Write the census at x: a header with the bound, the package version,
+    the candidate count and the CRC-32 of the body, then one 'signature;N;K'
+    line per record.  The file goes to a temporary name beside path and is
+    renamed into place, so a reader sees the old file or the whole new one."""
+    body = "".join(f"{','.join(map(str, r.candidate.signature))};"
+                   f"{r.candidate.value};{r.candidate.k_value}\n" for r in records)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(_header(x, len(ordered)) + "\n")
-            for c in ordered:
-                sig = ",".join(str(a) for a in c.signature)
-                fh.write(f"{sig};{c.value};{c.k_value}\n")
+            fh.write(f"{_MAGIC} X={x} version={__version__} "
+                     f"count={candidate_count} crc32={_digest(body)}\n")
+            fh.write(body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -321,21 +361,42 @@ def save_candidates(path: str, x: int, candidates: list[Candidate]) -> None:
         raise
 
 
-def load_candidates(path: str, x: int) -> list[Candidate] | None:
-    """Sorted candidate list from a cache file, or None if it is missing,
-    stale (other bound or version) or fails to parse in any way."""
-    expect_prefix = f"# kalmar-candidates X={x} version={__version__} count="
+def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | None:
+    """(candidate count, records) from a census cache, or None if the file is
+    missing, stale (other bound, version or format) or fails any check: the
+    digest, the parse, or the recheck of every record.  The recheck rebuilds
+    N from the signature and K with kalmar_macmahon, and asks that the
+    records start at N = 1 and rise strictly in N and K up to x."""
+    prefix = f"{_MAGIC} X={x} version={__version__} count="
     try:
         with open(path, encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if not header.startswith(expect_prefix):
+            header = fh.readline()
+            if not header.startswith(prefix):
                 return None
-            count = int(header[len(expect_prefix):])
-            out = []
-            for line in fh:                 # line by line: the file is not held whole
-                sig_s, value_s, k_s = line.rstrip("\n").split(";")
-                sig = tuple(int(a) for a in sig_s.split(",")) if sig_s else ()
-                out.append(Candidate(sig, int(value_s), int(k_s)))
+            count_s, sep, digest = header[len(prefix):].rstrip("\n").partition(" crc32=")
+            count = int(count_s)
+            body = fh.read()
+        if not sep or _digest(body) != digest:
+            return None
+        rows = []
+        for line in body.splitlines():
+            sig_s, value_s, k_s = line.split(";")
+            sig = tuple(int(a) for a in sig_s.split(",")) if sig_s else ()
+            rows.append((sig, int(value_s), int(k_s)))
     except (OSError, ValueError):
         return None
-    return out if len(out) == count else None
+    if not rows or rows[0] != ((), 1, 1) or count < len(rows):
+        return None
+    primes = _admissible_primes(x)
+    records: list[ChampionRecord] = []
+    prev_n = prev_k = 0
+    for sig, n, k in rows:
+        if not (prev_n < n <= x and prev_k < k and len(sig) <= len(primes)
+                and all(a >= b >= 1 for a, b in zip(sig, sig[1:] + (1,)))
+                and sum(sig) < n.bit_length()       # 2^Omega <= N
+                and n == math.prod(map(pow, primes, sig))
+                and k == kalmar_macmahon(sig)):
+            return None
+        prev_n, prev_k = n, k
+        records.append(_record(len(records) + 1, Candidate(sig, n, k), primes))
+    return count, records

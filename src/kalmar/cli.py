@@ -275,25 +275,28 @@ def _cmd_deficit(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _candidates_with_cache(x: int, cfg: RunConfig):
+def _census_with_cache(x: int, cfg: RunConfig):
+    """(candidate count, champion records) up to x, through the census cache
+    when one is configured."""
     if cfg.cache_path:
         cached = ch.load_candidates(cfg.cache_path, x)
         if cached is not None:
-            print(f"loaded {len(cached)} candidates from {cfg.cache_path}",
-                  file=sys.stderr)
+            print(f"loaded census ({cached[0]} candidates, {len(cached[1])} records) "
+                  f"from {cfg.cache_path}", file=sys.stderr)
             return cached
-    cands = list(ch.enumerate_candidates(x))
+    count, records = ch.candidate_census(ch.enumerate_candidates(x))
     if cfg.cache_path:
-        ch.save_candidates(cfg.cache_path, x, cands)
-        print(f"saved {len(cands)} candidates to {cfg.cache_path}", file=sys.stderr)
-    return cands
+        ch.save_candidates(cfg.cache_path, x, count, records)
+        print(f"saved census ({count} candidates, {len(records)} records) "
+              f"to {cfg.cache_path}", file=sys.stderr)
+    return count, records
 
 
 def _cmd_champions(args, cfg: RunConfig, out) -> int:
     x = int(args.x)
-    cands = _candidates_with_cache(x, cfg)
+    count, records = _census_with_cache(x, cfg)
     if args.census:
-        cen = ch.census(x, candidates=cands)
+        cen = ch.census_from_records(x, count, records)
         pairs = [
             ("X", str(cen.bound)),
             ("candidates", str(cen.candidate_count)),
@@ -309,7 +312,6 @@ def _cmd_champions(args, cfg: RunConfig, out) -> int:
             ]
         _emit_pairs(pairs, cfg, out)
         return 0
-    records = ch.champions_from_candidates(cands)
     if args.stats:
         tab = cn.model_constants()
         d = cfg.digits
@@ -419,7 +421,7 @@ def build_parser() -> _Parser:
     h.add_argument("--census", action="store_true")
     h.add_argument("--stats", action="store_true")
     h.add_argument("--cache", dest="cache_path", type=str,
-                   help=f"candidate cache file (also ${ENV_CACHE})")
+                   help=f"census cache file (also ${ENV_CACHE})")
     h.set_defaults(fn=_cmd_champions)
 
     v = sub.add_parser("verify", parents=[common], help="run the invariant suite")

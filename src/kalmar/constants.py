@@ -20,7 +20,6 @@ cross-check (see prime_sum_check).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -47,14 +46,12 @@ __all__ = [
 INFINITE = "infinite"
 LOG2 = math.log(2.0)
 
-# B_2, B_4, ..., B_24
+# B_2, B_4, ..., B_24; int / int is correctly rounded, as float(Fraction) is
 _BERNOULLI = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-    Fraction(-236364091, 2730),
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
 ]
-_B2J = [float(b) / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI)]
+_B2J = [b / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI)]
 
 
 def _zeta_em(s: float, n_terms: int) -> tuple[float, float]:
@@ -336,17 +333,18 @@ def prime_sum_check(sieve_bound: int = 10**7) -> dict[str, tuple[float, float]]:
     b_sum = 0.0
     t0 = 0.0
     for p in primes:
-        q = math.exp(rho * math.log(p))
-        inv_a += math.log(p) / (q - 1.0)
+        lp = math.log(p)
+        q = math.exp(rho * lp)
+        inv_a += lp / (q - 1.0)
         b_sum += 1.0 / (q - 1.0)
         t0 += 1.0 / q
     big_p = float(sieve_bound)
-    lp = math.log(big_p)
+    log_big_p = math.log(big_p)
     # density of primes ~ dt/log t; for inv_a the log p weight cancels it
     base = big_p ** (1.0 - rho) / (rho - 1.0)
-    cor = 1.0 / ((rho - 1.0) * lp)      # second term of the 1/log t expansion
+    cor = 1.0 / ((rho - 1.0) * log_big_p)   # second term of the 1/log t expansion
     inv_a_tail = base
-    weighted_tail = base / lp * (1.0 - cor)
+    weighted_tail = base / log_big_p * (1.0 - cor)
     return {
         "inv_a": (inv_a + inv_a_tail, inv_a_tail * cor),
         "b_sum": (b_sum + weighted_tail, weighted_tail * cor),

@@ -25,14 +25,16 @@ Everything in this module is exact; no floating point anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import KalmarError, PreconditionError, ResourceLimitError
 from .primes import factorize
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Signature",
@@ -230,6 +232,7 @@ def kalmar_series_bounds(sig: Iterable[int], R: int) -> tuple[Fraction, Fraction
     <= r^a, and for r > R the terms r^Om/2^r decay at ratio at most
     q = ((R+2)/(R+1))^Om / 2, so the tail is a geometric series once q < 1.
     """
+    from fractions import Fraction      # kept off the import path of every query
     sig = canonical_signature(sig)
     om = sum(sig)
     if R < om:

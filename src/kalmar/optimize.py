@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .constants import lagrange_scale, model_constants, solve_rho
@@ -174,10 +173,9 @@ def largest_divisor_leq(k: int, bound, max_k: int = 40) -> int:
         raise DomainError("k must be in 1..64")
     if k > max_k:
         raise ResourceLimitError(f"k = {k} exceeds the configured limit {max_k}")
-    frac = Fraction(bound)
-    if frac < 1:
+    num, den = bound.as_integer_ratio()      # exact, den > 0
+    if num < den:
         raise DomainError("bound must be >= 1")
-    num, den = frac.numerator, frac.denominator
     primes = first_primes(k)
     half = k // 2
 

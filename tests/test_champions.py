@@ -1,9 +1,12 @@
-"""Champion enumeration, census, stats, laws, and the candidate cache."""
+"""Champion enumeration, census, stats, laws, and the census cache."""
 
 import hashlib
+import math
 import os
 import random
 import sys
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -12,7 +15,7 @@ from kalmar import constants as cn
 from kalmar import exact as ex
 from kalmar import verify as vf
 from kalmar.errors import DomainError, ResourceLimitError
-from kalmar.primes import factorize
+from kalmar.primes import factorize, first_primes
 
 
 def test_candidates_x12():
@@ -116,6 +119,42 @@ def test_record_prefilter_matches_full_scan():
         check([C((), v, rng.randint(1, 6)) for v in values])
 
 
+def test_streaming_census_matches_list():
+    # the one-pass census against the whole list, sorted and scanned; at
+    # 10^18 and above the kept list passes its first limit and is refiltered
+    for x in (10**12, 10**18, math.prod(first_primes(16))):
+        cands = list(ch.enumerate_candidates(x))
+        want = plain_records(cands)
+        count, recs = ch.candidate_census(ch.enumerate_candidates(x))
+        assert count == len(cands)
+        assert [r.candidate for r in recs] == want
+        assert recs == ch.champions_from_candidates(cands)
+        assert ch.census(x) == ch.census(x, candidates=cands)
+        gt1 = [c for c in want if c.signature and c.signature[-1] > 1]
+        cen = ch.census(x)
+        assert cen.champion_count == len(want) and cen.alpha_gt1_count == len(gt1)
+        assert cen.largest_alpha_gt1.candidate == gt1[-1]
+        for order in (lambda c: c.k_value, lambda c: -c.value):
+            assert [r.candidate for r in ch.champions_from_candidates(
+                iter(sorted(cands, key=order)))] == want
+
+
+def test_streaming_census_memory():
+    # the stream holds the records' survivors, not every candidate
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    x = 10**18
+    stream = peak(lambda: ch.census(x))
+    listed = peak(lambda: ch.census(x, candidates=list(ch.enumerate_candidates(x))))
+    assert stream * 3 < listed, (stream, listed)
+
+
 def test_champions_x12():
     cen = ch.census(12)
     assert cen.champion_count == 5
@@ -207,37 +246,80 @@ def test_candidate_layout():
     assert repr(c) == "Candidate(signature=(2, 1), value=12, k_value=8)"
 
 
+def read_cache(path):
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        return header, fh.read().splitlines()
+
+
+def write_cache(path, header, body, redigest=True):
+    """Write a header and body lines; with redigest, the header's digest is
+    made to match the body, so only the parse or the recheck can reject it."""
+    text = "".join(line + "\n" for line in body)
+    if redigest:
+        head, _, _ = header.rpartition(" crc32=")
+        header = f"{head} crc32={zlib.crc32(text.encode()):08x}"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + text)
+
+
 def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "cands.txt")
-    cands = list(ch.enumerate_candidates(34560))
-    ch.save_candidates(path, 34560, cands)
-    loaded = ch.load_candidates(path, 34560)
-    assert loaded == sorted(cands, key=lambda c: c.value)
+    path = str(tmp_path / "census.txt")
+    count, recs = ch.candidate_census(ch.enumerate_candidates(34560))
+    ch.save_candidates(path, 34560, count, recs)
+    assert ch.load_candidates(path, 34560) == (120, recs)
+    header, body = read_cache(path)
+    assert header.startswith(f"# kalmar-census X=34560 version={ch.__version__} count=120 crc32=")
+    assert len(body) == 40 and body[0] == ";1;1" and body[-1] == "8,3,1;34560;622592"
     assert ch.load_candidates(path, 34561) is None        # stale bound
     assert ch.load_candidates(str(tmp_path / "nope.txt"), 34560) is None
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    lines[0] = lines[0].replace("version=", "version=0.0.")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_cache(path, header.replace("version=", "version=0.0."), body)
     assert ch.load_candidates(path, 34560) is None         # stale version
 
 
 def test_corrupt_cache_is_stale(tmp_path):
-    path = str(tmp_path / "cands.txt")
-    cands = list(ch.enumerate_candidates(34560))
-    ch.save_candidates(path, 34560, cands)
-    assert os.listdir(tmp_path) == ["cands.txt"]          # no temp file left
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    path = str(tmp_path / "census.txt")
+    count, recs = ch.candidate_census(ch.enumerate_candidates(34560))
+    ch.save_candidates(path, 34560, count, recs)
+    assert os.listdir(tmp_path) == ["census.txt"]         # no temp file left
+    header, body = read_cache(path)
+    write_cache(path, header, body)
+    assert ch.load_candidates(path, 34560) == (count, recs)   # the helper is faithful
     for garbled in ("garbage", "1;2", "x;4;2", "1;4;2;7", ""):
-        bad = lines[:5] + [garbled] + lines[6:]
-        with open(path, "w") as fh:
-            fh.write("\n".join(bad) + "\n")
+        write_cache(path, header, body[:5] + [garbled] + body[6:])
         assert ch.load_candidates(path, 34560) is None, garbled
-    with open(path, "w") as fh:
-        fh.write(lines[0].replace("count=", "count=x") + "\n")
+    write_cache(path, header.replace("count=", "count=x"), body)
     assert ch.load_candidates(path, 34560) is None
-    with open(path, "w") as fh:                           # truncated: too few lines
-        fh.write("\n".join(lines[:-1]) + "\n")
+    write_cache(path, header.replace("count=120", "count=39"), body)
+    assert ch.load_candidates(path, 34560) is None        # fewer candidates than records
+    write_cache(path, header, body[:-1], redigest=False)  # truncated: one line short
+    assert ch.load_candidates(path, 34560) is None
+    write_cache(path, header, body[:5] + [body[6], body[5]] + body[7:])
+    assert ch.load_candidates(path, 34560) is None        # out of order
+
+
+def test_cache_recheck(tmp_path):
+    path = str(tmp_path / "census.txt")
+    count, recs = ch.candidate_census(ch.enumerate_candidates(34560))
+    ch.save_candidates(path, 34560, count, recs)
+    header, body = read_cache(path)
+    assert body[8] == "3,2;72;76"
+    write_cache(path, header, body[:8] + ["3,2;72;77"] + body[9:])
+    assert ch.load_candidates(path, 34560) is None        # one K changed
+    write_cache(path, header, body, redigest=False)
+    assert ch.load_candidates(path, 34560) == (count, recs)
+    bad_digest = header[:-1] + ("0" if header[-1] != "0" else "1")
+    write_cache(path, bad_digest, body, redigest=False)
+    assert ch.load_candidates(path, 34560) is None        # digest mismatch
+    for line in ("2,3;72;76", "3,2;73;76", "3,2,0;72;76", "200;72;76"):
+        write_cache(path, header, body[:8] + [line] + body[9:])
+        assert ch.load_candidates(path, 34560) is None, line   # N off its signature
+    write_cache(path, header, body + ["9,3,1;69120;1540096"])
+    assert ch.load_candidates(path, 34560) is None        # N above the bound
+    # a cache in the old format, one line per candidate, is stale
+    old = [f"# kalmar-candidates X=34560 version={ch.__version__} count=120"]
+    old += [f"{','.join(map(str, c.signature))};{c.value};{c.k_value}"
+            for c in sorted(ch.enumerate_candidates(34560), key=lambda c: c.value)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(old) + "\n")
     assert ch.load_candidates(path, 34560) is None

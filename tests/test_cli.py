@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import zlib
 
 from kalmar.cli import split_csv_row
 
@@ -105,6 +106,32 @@ def test_corrupt_cache_reenumerates(tmp_path):
     assert "saved" in again.stderr and again.stdout == fresh.stdout
     hit = run_cli("champions", "--x", "34560", "--census", "--cache", str(path))
     assert "loaded" in hit.stderr and hit.stdout == fresh.stdout
+    # one record's K changed, with the digest made to match: the recheck
+    # rejects it and the census is recomputed
+    header, body = path.read_text().split("\n", 1)
+    lines = body.splitlines()
+    assert lines[8] == "3,2;72;76"
+    lines[8] = "3,2;72;77"
+    body = "".join(line + "\n" for line in lines)
+    header = header.rpartition(" crc32=")[0] + " crc32=" + \
+        f"{zlib.crc32(body.encode()):08x}"
+    path.write_text(header + "\n" + body)
+    again = run_cli("champions", "--x", "34560", "--census", "--cache", str(path))
+    assert again.returncode == 0, again.stderr
+    assert "saved" in again.stderr and again.stdout == fresh.stdout
+    assert "3,2;72;76\n" in path.read_text()
+
+
+def test_census_cache_miss_then_hit(tmp_path):
+    path = str(tmp_path / "census.txt")
+    miss = run_cli("champions", "--x", str(10**18), "--census", "--cache", path)
+    assert miss.returncode == 0 and "saved" in miss.stderr
+    hit = run_cli("champions", "--x", str(10**18), "--census", "--cache", path)
+    assert hit.returncode == 0 and "loaded" in hit.stderr
+    assert hit.stdout == miss.stdout
+    assert "candidates                   32749\n" in hit.stdout
+    with open(path) as fh:
+        assert sum(1 for _ in fh) == 1 + 397              # header and the records
 
 
 def test_cache_env_var(tmp_path):
@@ -176,11 +203,11 @@ def test_import_contract():
     # tracer reads sys.modules["kalmar.<layer>"] for each layer after it
     code = ("import sys, kalmar.cli; "
             "print(' '.join(sorted(m for m in sys.modules "
-            "if m.startswith('kalmar.') or m == 'dataclasses')))")
+            "if m.startswith('kalmar.') or m in ('dataclasses', 'fractions', 'decimal'))))")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     loaded = set(cp.stdout.split())
-    assert "dataclasses" not in loaded
+    assert not {"dataclasses", "fractions", "decimal"} & loaded, loaded
     layers = ("primes", "exact", "constants", "evans", "optimize", "champions",
               "verify", "cli")
     assert {f"kalmar.{m}" for m in layers} <= loaded, loaded
