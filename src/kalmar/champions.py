@@ -366,7 +366,10 @@ def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | Non
     missing, stale (other bound, version or format) or fails any check: the
     digest, the parse, or the recheck of every record.  The recheck rebuilds
     N from the signature and K with kalmar_macmahon, and asks that the
-    records start at N = 1 and rise strictly in N and K up to x."""
+    records start at N = 1 and rise strictly in N and K up to x.  It also
+    asks for the doubling law (verify_champion_laws), which a deleted record
+    breaks whenever the gap it leaves exceeds 2x: N_{i+1} <= 2 N_i for
+    N_i >= 2, and the next record 2 N_last (or 4 after N = 1) lies above x."""
     prefix = f"{_MAGIC} X={x} version={__version__} count="
     try:
         with open(path, encoding="ascii") as fh:
@@ -392,6 +395,7 @@ def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | Non
     prev_n = prev_k = 0
     for sig, n, k in rows:
         if not (prev_n < n <= x and prev_k < k and len(sig) <= len(primes)
+                and (prev_n < 2 or n <= 2 * prev_n)
                 and all(a >= b >= 1 for a, b in zip(sig, sig[1:] + (1,)))
                 and sum(sig) < n.bit_length()       # 2^Omega <= N
                 and n == math.prod(map(pow, primes, sig))
@@ -399,4 +403,6 @@ def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | Non
             return None
         prev_n, prev_k = n, k
         records.append(_record(len(records) + 1, Candidate(sig, n, k), primes))
+    if max(2 * prev_n, 4) <= x:         # the next record, 2 N_last or 4, is <= x
+        return None
     return count, records

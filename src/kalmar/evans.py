@@ -13,8 +13,10 @@ For a vector x of non-negative reals (the prime-signature relaxed to reals):
 and the Evans estimate K(n) ~ sqrt(pi) A B for n with signature x.  A and the
 estimate are carried as logarithms (F exceeds 700 at champion scale).
 
-Appending zeros changes none of c, T, F; zero entries are dropped before
-solving and A is assembled through the exp(F)/s form, where s(0) = 1.
+Appending zeros changes none of c, T, F; solve_c drops zero entries and A
+is assembled through the exp(F)/s form, where s(0) = 1.  evans_point(x)
+solves for c once and computes T once; the accessors t_of, grad_c, f_of,
+grad_f, hessian_form and evans_estimate each read one such point.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .exact import kalmar_macmahon, signatures_with_omega
 
 __all__ = [
     "solve_c",
+    "EvansPoint",
+    "evans_point",
     "t_of",
     "grad_c",
     "f_of",
@@ -45,7 +49,7 @@ _LOG_2SQRT2 = 1.5 * LOG2
 
 
 def _checked(x: Iterable[float]) -> tuple[float, ...]:
-    x = tuple(float(v) for v in x)
+    x = tuple(map(float, x))
     if not all(0.0 <= v < math.inf for v in x):
         raise DomainError(f"vector entries must be finite and >= 0, got {x}")
     return x
@@ -69,60 +73,6 @@ def solve_c(x: Sequence[float]) -> float:
         lambda t: -math.fsum(1.0 / (1.0 + t / v) for v in pos) / t,
         math.fsum(pos),
     )
-
-
-def t_of(x: Sequence[float]) -> float:
-    """T(x) = sum x_i/(c + x_i), in [1/2, 1]."""
-    x = _checked(x)
-    c = solve_c(x)
-    if c == 0.0:
-        raise DomainError("T is undefined on the zero vector")
-    return math.fsum(v / (c + v) for v in x)
-
-
-def grad_c(x: Sequence[float], i: int) -> float:
-    """dc/dx_i = (1/T) c/(c + x_i), 0-based coordinate; lies in [0, 2]."""
-    x = _checked(x)
-    c = solve_c(x)
-    if c == 0.0:
-        raise DomainError("gradient of c is undefined on the zero vector")
-    t = math.fsum(v / (c + v) for v in x)
-    return c / ((c + x[i]) * t)
-
-
-def f_of(x: Sequence[float]) -> float:
-    """F(x) = sum x_j log(1 + c(x)/x_j) with the 0 log 0 = 0 convention."""
-    x = _checked(x)
-    c = solve_c(x)
-    return math.fsum(v * math.log1p(c / v) for v in x if v > 0.0)
-
-
-def grad_f(x: Sequence[float], i: int) -> float:
-    """dF/dx_i = log((c + x_i)/x_i), 0-based; domain error at x_i = 0."""
-    x = _checked(x)
-    if x[i] == 0.0:
-        raise DomainError("dF/dx_i diverges at x_i = 0")
-    c = solve_c(x)
-    return math.log((c + x[i]) / x[i])
-
-
-def hessian_form(x: Sequence[float], h: Sequence[float]) -> float:
-    """Quadratic form of the second derivatives of F at x applied to h:
-
-        (c/T) (sum h_i/(c+x_i))^2 - sum c h_i^2 / (x_i (c+x_i))
-
-    Non-positive everywhere (F is concave).  Requires all x_i > 0.
-    """
-    x = _checked(x)
-    if any(v == 0.0 for v in x):
-        raise DomainError("Hessian form needs strictly positive entries")
-    if len(h) != len(x):
-        raise DomainError("h must have the same length as x")
-    c = solve_c(x)
-    t = math.fsum(v / (c + v) for v in x)
-    cross = math.fsum(hi / (c + v) for hi, v in zip(h, x))
-    diag = math.fsum(c * hi * hi / (v * (c + v)) for hi, v in zip(h, x))
-    return (c / t) * cross * cross - diag
 
 
 def log_stirling_s(x: float) -> float:
@@ -160,42 +110,125 @@ class EvansEstimate(NamedTuple):
         return _exp_or_inf(self.log_estimate)
 
 
-def evans_estimate(x: Sequence[float]) -> EvansEstimate:
-    """Assemble c, T, F, log A, B and the estimate sqrt(pi) A B at x.
+class EvansPoint(NamedTuple):
+    """The model at one vector x: c(x) and T(x), each computed once.
 
-    A is computed through exp(F) * prod 1/s(x_j); on strictly positive input
-    it is cross-checked against the defining product form to 1e-10 relative.
+    Zero entries are kept in x.  On the zero vector c = 0 and T is nan; every
+    accessor that needs T or divides by c raises DomainError there.  The
+    ratios x_i/(c + x_i) and c/(c + x_i) are written as 1/(1 + c/x_i) and
+    1/(1 + x_i/c) so that c + x_i cannot overflow near the float limit.
     """
-    x = _checked(x)
-    pos = [v for v in x if v > 0.0]
-    if not pos:
-        raise DomainError("the estimate needs a nonzero vector")
-    c = solve_c(pos)
-    om = math.fsum(pos)
-    t = math.fsum(v / (c + v) for v in pos)
-    f = math.fsum(v * math.log1p(c / v) for v in pos)
-    log_a = -_LOG_2SQRT2 + f - math.fsum(log_stirling_s(v) for v in pos)
-    if len(pos) == len(x):
-        direct = -_LOG_2SQRT2 - om + math.fsum(
-            v * math.log(c + v) - math.lgamma(v + 1.0) for v in pos
-        )
-        if abs(direct - log_a) > 1e-10 * max(1.0, abs(log_a)):
-            raise ConvergenceError(
-                f"log A disagreement: {log_a} (Stirling form) vs {direct} (direct)"
+
+    x: tuple[float, ...]
+    c: float
+    t: float              # T(x) = sum x_i/(c + x_i), in [1/2, 1]
+
+    def nonzero(self, what: str) -> EvansPoint:
+        if self.c == 0.0:
+            raise DomainError(f"{what} is undefined on the zero vector")
+        return self
+
+    def grad_c(self, i: int) -> float:
+        c = self.nonzero("gradient of c").c
+        return 1.0 / (1.0 + self.x[i] / c) / self.t
+
+    def f(self) -> float:
+        c = self.c
+        return math.fsum(v * math.log1p(c / v) for v in self.x if v > 0.0)
+
+    def grad_f(self, i: int) -> float:
+        if self.x[i] == 0.0:
+            raise DomainError("dF/dx_i diverges at x_i = 0")
+        return math.log1p(self.c / self.x[i])
+
+    def hessian_form(self, h: Sequence[float]) -> float:
+        x, c = self.x, self.c
+        if not x or 0.0 in x:
+            raise DomainError("Hessian form needs strictly positive entries")
+        if len(h) != len(x):
+            raise DomainError("h must have the same length as x")
+        cross = math.fsum(hi / (c + v) for hi, v in zip(h, x))
+        diag = math.fsum(c * hi * hi / (v * (c + v)) for hi, v in zip(h, x))
+        return (c / self.t) * cross * cross - diag
+
+    def estimate(self) -> EvansEstimate:
+        """c, T, F, log A, B and the estimate sqrt(pi) A B at this point.
+
+        A is computed through exp(F) * prod 1/s(x_j); on strictly positive
+        input it is cross-checked against the defining product form to 1e-10
+        relative.
+        """
+        c, t = self.nonzero("the estimate").c, self.t
+        pos = [v for v in self.x if v > 0.0]
+        om = math.fsum(pos)
+        f = self.f()
+        log_a = -_LOG_2SQRT2 + f - math.fsum(log_stirling_s(v) for v in pos)
+        if len(pos) == len(self.x):
+            direct = -_LOG_2SQRT2 - om + math.fsum(
+                v * math.log(c + v) - math.lgamma(v + 1.0) for v in pos
             )
-    b = math.sqrt(2.0 * c / t)
-    est = EvansEstimate(
-        c=c, t=t, f=f, log_a=log_a, b=b,
-        log_estimate=0.5 * math.log(math.pi) + log_a + math.log(b),
-    )
-    eps = 1e-9 * max(1.0, om)
-    if not (om - eps <= c <= om / LOG2 + eps):
-        raise ConvergenceError(f"c = {c} escaped [Omega, Omega/log 2]")
-    if not (0.5 - 1e-12 <= t <= 1.0 + 1e-12):
-        raise ConvergenceError(f"T = {t} escaped [1/2, 1]")
-    if not (math.sqrt(2 * c) * (1 - 1e-12) <= b <= 2 * math.sqrt(c) * (1 + 1e-12)):
-        raise ConvergenceError(f"B = {b} escaped [sqrt(2c), 2 sqrt(c)]")
-    return est
+            if abs(direct - log_a) > 1e-10 * max(1.0, abs(log_a)):
+                raise ConvergenceError(
+                    f"log A disagreement: {log_a} (Stirling form) vs {direct} (direct)"
+                )
+        b = math.sqrt(2.0 * c / t)
+        est = EvansEstimate(
+            c=c, t=t, f=f, log_a=log_a, b=b,
+            log_estimate=0.5 * math.log(math.pi) + log_a + math.log(b),
+        )
+        eps = 1e-9 * max(1.0, om)
+        if not (om - eps <= c <= om / LOG2 + eps):
+            raise ConvergenceError(f"c = {c} escaped [Omega, Omega/log 2]")
+        if not (0.5 - 1e-12 <= t <= 1.0 + 1e-12):
+            raise ConvergenceError(f"T = {t} escaped [1/2, 1]")
+        if not (math.sqrt(2 * c) * (1 - 1e-12) <= b <= 2 * math.sqrt(c) * (1 + 1e-12)):
+            raise ConvergenceError(f"B = {b} escaped [sqrt(2c), 2 sqrt(c)]")
+        return est
+
+
+def evans_point(x: Sequence[float]) -> EvansPoint:
+    """Check x once, solve for c once and compute T once."""
+    x = _checked(x)
+    c = solve_c(x)
+    if c == 0.0:
+        return EvansPoint(x, 0.0, math.nan)
+    return EvansPoint(x, c, math.fsum(1.0 / (1.0 + c / v) for v in x if v > 0.0))
+
+
+def t_of(x: Sequence[float]) -> float:
+    """T(x) = sum x_i/(c + x_i), in [1/2, 1]."""
+    return evans_point(x).nonzero("T").t
+
+
+def grad_c(x: Sequence[float], i: int) -> float:
+    """dc/dx_i = (1/T) c/(c + x_i), 0-based coordinate; lies in [0, 2]."""
+    return evans_point(x).grad_c(i)
+
+
+def f_of(x: Sequence[float]) -> float:
+    """F(x) = sum x_j log(1 + c(x)/x_j) with the 0 log 0 = 0 convention."""
+    return evans_point(x).f()
+
+
+def grad_f(x: Sequence[float], i: int) -> float:
+    """dF/dx_i = log((c + x_i)/x_i), 0-based; domain error at x_i = 0."""
+    return evans_point(x).grad_f(i)
+
+
+def hessian_form(x: Sequence[float], h: Sequence[float]) -> float:
+    """Quadratic form of the second derivatives of F at x applied to h:
+
+        (c/T) (sum h_i/(c+x_i))^2 - sum c h_i^2 / (x_i (c+x_i))
+
+    Non-positive everywhere (F is concave).  Requires all x_i > 0.
+    """
+    return evans_point(x).hessian_form(h)
+
+
+def evans_estimate(x: Sequence[float]) -> EvansEstimate:
+    """Assemble c, T, F, log A, B and the estimate sqrt(pi) A B at x
+    (EvansPoint.estimate)."""
+    return evans_point(x).estimate()
 
 
 class RatioRow(NamedTuple):

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .constants import lagrange_scale, model_constants, solve_rho
 from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
-from .evans import f_of, solve_c
+from .evans import evans_point, f_of
 from .exact import canonical_signature, kalmar_macmahon
 from .primes import first_primes
 
@@ -50,8 +50,8 @@ class OptimumPoint(NamedTuple):
 def optimum(k: int, budget: float) -> OptimumPoint:
     """The maximizer of F on {sum x_i log p_i <= A} over the first k primes.
 
-    The closed form is verified on the spot: budget residual, c residual via
-    solve_c, F residual via f_of, and the gradient condition, all to 1e-8
+    The closed form is verified on the spot: budget residual, then c and F
+    residuals and the gradient condition at one evans_point, all to 1e-8
     relative.  A failure indicates a numerical defect upstream.
     """
     if k < 1:
@@ -67,8 +67,8 @@ def optimum(k: int, budget: float) -> OptimumPoint:
     f_star = rho_k * budget
 
     budget_resid = abs(math.fsum(x * lp for x, lp in zip(x_star, logs)) - budget)
-    c_num = solve_c(x_star)
-    f_num = f_of(x_star)
+    pt = evans_point(x_star)
+    c_num, f_num = pt.c, pt.f()
     grad_resid = max(
         abs(math.log1p(c_num / x) - rho_k * lp) / (rho_k * lp)
         for x, lp in zip(x_star, logs)

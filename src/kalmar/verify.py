@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import champions as ch
 from . import constants as cn
 from . import evans as ev
 from . import exact as ex
 from . import optimize as op
-from .primes import factorize, first_primes
+from .primes import first_primes
 
 __all__ = ["CheckResult", "full_suite"]
 
@@ -154,27 +154,52 @@ def check_growth_laws(n_max: int = 100_000) -> CheckResult:
                        f"n <= {n_max}; defect envelope c5' >= {env_min:.4f}")
 
 
+def _sig_code(sig) -> int:
+    """A signature as one integer whose byte e counts the exponents equal to
+    e.  Exact while fewer than 256 primes share an exponent; then the code
+    of a product of coprime factors is the sum of their codes."""
+    return sum(1 << 8 * e for e in sig)
+
+
+def _code_sig(code: int) -> tuple[int, ...]:
+    """The signature that _sig_code maps to code."""
+    sig: list[int] = []
+    for e in range(code.bit_length() // 8, 0, -1):
+        sig += [e] * (code >> 8 * e & 255)
+    return tuple(sig)
+
+
+def _product_codes(n: int, codes: list[int]) -> Iterator[int]:
+    """Signature codes of n m for n <= m < len(codes).  With a the part of m
+    on n's primes, n m = (n a)(m/a) and m/a is coprime to n a, so the code
+    is code(n a) + codes[m/a]: one factorization per distinct a, a few per n."""
+    head = {1: codes[n]}
+    for m in range(n, len(codes)):
+        r = m
+        g = math.gcd(m, n)
+        while g > 1:
+            r //= g
+            g = math.gcd(r, g)
+        a = m // r
+        code = head.get(a)
+        if code is None:
+            code = head[a] = _sig_code(ex.signature_of(n * a))
+        yield code + codes[r]
+
+
 def check_supermultiplicative(n_max: int = 2000) -> CheckResult:
     """K(n n') >= 2 K(n) K(n') for 2 <= n <= n' <= n_max."""
     sigs = _sig_table(n_max)
-    facs = [{}, {}] + [dict(factorize(n)) for n in range(2, n_max + 1)]
-    ktab = _k_by_sig(sigs)
-
-    def k_of(f: dict[int, int]) -> int:
-        sig = tuple(sorted(f.values(), reverse=True))
-        v = ktab.get(sig)
-        if v is None:
-            v = ktab[sig] = ex.kalmar_macmahon(sig)
-        return v
-
+    codes = [_sig_code(sig or ()) for sig in sigs]
+    ktab = {_sig_code(sig): k for sig, k in _k_by_sig(sigs).items()}
+    k_of = [ktab[code] for code in codes]
     for n in range(2, n_max + 1):
-        kn = ktab[sigs[n]]
-        fn = facs[n]
-        for m in range(n, n_max + 1):
-            merged = dict(fn)
-            for p, e in facs[m].items():
-                merged[p] = merged.get(p, 0) + e
-            if k_of(merged) < 2 * kn * ktab[sigs[m]]:
+        kn2 = 2 * k_of[n]
+        for m, code in enumerate(_product_codes(n, codes), n):
+            knm = ktab.get(code)
+            if knm is None:
+                knm = ktab[code] = ex.kalmar_macmahon(_code_sig(code))
+            if knm < kn2 * k_of[m]:
                 return CheckResult("supermultiplicative", False, f"fails at ({n},{m})")
     return CheckResult("supermultiplicative", True, f"all pairs 2 <= n <= n' <= {n_max}")
 
@@ -209,10 +234,11 @@ def check_lipschitz(pairs: int = 10_000, seed: int = 2025) -> CheckResult:
         if not any(x) or not any(y):
             continue
         dist = sum(abs(u - v) for u, v in zip(x, y))
-        if abs(ev.solve_c(y) - ev.solve_c(x)) > 2.0 * dist + 1e-12:
+        px, py = ev.evans_point(x), ev.evans_point(y)
+        if abs(py.c - px.c) > 2.0 * dist + 1e-12:
             return CheckResult("lipschitz", False, f"c bound fails: {x} {y}")
         om = max(math.fsum(x), math.fsum(y))
-        if abs(ev.t_of(y) - ev.t_of(x)) > 3.0 * dist / om + 1e-12:
+        if abs(py.t - px.t) > 3.0 * dist / om + 1e-12:
             return CheckResult("lipschitz", False, f"T bound fails: {x} {y}")
     return CheckResult("lipschitz", True, f"{pairs} random pairs, lengths <= 20")
 
@@ -225,16 +251,17 @@ def check_gradients(points: int = 1000, seed: int = 2026) -> CheckResult:
     for _ in range(points):
         n = rng.randint(1, 8)
         x = [rng.uniform(0.05, 4.0) for _ in range(n)]
+        px = ev.evans_point(x)
         for i in range(n):
             h = 1e-6 * max(1.0, x[i])
             xp, xm = list(x), list(x)
             xp[i] += h
             xm[i] -= h
-            fd_c = (ev.solve_c(xp) - ev.solve_c(xm)) / (2 * h)
-            fd_f = (ev.f_of(xp) - ev.f_of(xm)) / (2 * h)
-            worst = max(worst,
-                        abs(fd_c - ev.grad_c(x, i)) / abs(ev.grad_c(x, i)),
-                        abs(fd_f - ev.grad_f(x, i)) / abs(ev.grad_f(x, i)))
+            pp, pm = ev.evans_point(xp), ev.evans_point(xm)
+            fd_c = (pp.c - pm.c) / (2 * h)
+            fd_f = (pp.f() - pm.f()) / (2 * h)
+            gc, gf = px.grad_c(i), px.grad_f(i)
+            worst = max(worst, abs(fd_c - gc) / abs(gc), abs(fd_f - gf) / abs(gf))
     return CheckResult("gradients", worst <= 1e-6,
                        f"{points} points, worst relative {worst:.2e}")
 
@@ -257,14 +284,14 @@ def check_value_ranges(samples: int = 2000, seed: int = 2028) -> CheckResult:
     rng = random.Random(seed)
     for _ in range(samples):
         x = _random_vector(rng)
-        est = ev.evans_estimate(x)      # raises if any range is violated
+        pt = ev.evans_point(x)
+        est = pt.estimate()             # raises if any range is violated
         i = rng.randrange(len(x))
-        g = ev.grad_c(x, i)
+        g = pt.grad_c(i)
         if not -1e-12 <= g <= 2.0 + 1e-12:
             return CheckResult("value_ranges", False, f"grad_c = {g} at {x}")
         prev = 0.0
-        for k in range(1, len(x) + 1):
-            ck = ev.solve_c(x[:k])
+        for ck in [ev.solve_c(x[:k]) for k in range(1, len(x))] + [pt.c]:
             if ck < prev - 1e-12 or ck > est.c + 1e-9:
                 return CheckResult("value_ranges", False, f"prefix c not monotone at {x}")
             prev = ck

@@ -323,3 +323,31 @@ def test_cache_recheck(tmp_path):
     with open(path, "w") as fh:
         fh.write("\n".join(old) + "\n")
     assert ch.load_candidates(path, 34560) is None
+
+
+def test_cache_missing_record(tmp_path):
+    # the doubling law N_{i+1} <= 2 N_i (N_i >= 2) catches a deleted record
+    # whenever the gap it leaves is wider than 2x, and 2 N_last > x catches
+    # records missing from the end
+    x = 10**12
+    path = str(tmp_path / "census.txt")
+    count, recs = ch.candidate_census(ch.enumerate_candidates(x))
+    ch.save_candidates(path, x, count, recs)
+    header, body = read_cache(path)
+    assert [line.split(";")[1] for line in body[:8]] == ["1", "4", "6", "8", "12", "24", "36", "48"]
+    for i in (4, 5):                                      # N = 12 (24/8 > 2), N = 24 (36/12 > 2)
+        write_cache(path, header, body[:i] + body[i + 1:])
+        assert ch.load_candidates(path, x) is None, body[i]
+    write_cache(path, header, body[:3] + body[4:])        # N = 8: 6 -> 12 is no gap over 2x
+    assert ch.load_candidates(path, x) is not None
+    half = [line for line in body if 2 * int(line.split(";")[1]) <= x]
+    write_cache(path, header, half)                       # every record above x/2 deleted
+    assert ch.load_candidates(path, x) is None
+    write_cache(path, header, body[:1])                   # N = 1 alone, but 4 <= x
+    assert ch.load_candidates(path, x) is None
+    small = ch.candidate_census(ch.enumerate_candidates(3))
+    assert len(small[1]) == 1                             # N = 1 alone is the census at 3
+    ch.save_candidates(path, 3, *small)
+    assert ch.load_candidates(path, 3) == small
+    write_cache(path, header, body)
+    assert ch.load_candidates(path, x) == (count, recs)

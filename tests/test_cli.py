@@ -217,7 +217,7 @@ def test_golden_default_output():
     # default 12-digit stdout, pinned byte for byte
     with open(os.path.join(os.path.dirname(__file__), "golden_cli.txt")) as fh:
         cases = fh.read().split("$ kalmar ")[1:]
-    assert len(cases) == 10
+    assert len(cases) == 11
     for case in cases:
         argv, expected = case.split("\n", 1)
         cp = run_cli(*argv.split())

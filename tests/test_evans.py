@@ -26,6 +26,39 @@ def test_solve_c_closed_forms():
     big = [8e307, 5e307]                # t + x_j would overflow; c stays finite
     c = ev.solve_c(big)
     assert abs(math.fsum(math.log1p(v / c) for v in big) - math.log(2)) < 1e-15
+    assert 0.5 <= ev.t_of(big) <= 1.0   # and so do T and the gradients
+    for i in (0, 1):
+        assert 0.0 <= ev.grad_c(big, i) <= 2.0
+        assert 0.0 < ev.grad_f(big, i) < math.inf
+    ev.hessian_form(big, [1.0, -1.0])  # T > 0 now, so no ZeroDivisionError
+
+
+def test_evans_point():
+    pt = ev.evans_point([2.0, 0.0, 1.0])         # zeros kept, c and T unchanged
+    assert pt.x == (2.0, 0.0, 1.0)
+    assert (pt.c, pt.t) == (ev.solve_c([2.0, 1.0]), ev.t_of([2.0, 1.0]))
+    assert pt.grad_c(1) == 1.0 / pt.t
+    pt = ev.evans_point([0.0, 0.0])
+    assert pt.c == 0.0 and pt.f() == 0.0 == ev.f_of([0.0, 0.0])
+    for call in (lambda: pt.nonzero("T"), lambda: ev.t_of([0.0, 0.0]),
+                 lambda: pt.grad_c(0), lambda: ev.grad_c([0.0, 0.0], 0),
+                 lambda: pt.grad_f(1), lambda: ev.grad_f([0.0, 0.0], 1),
+                 lambda: pt.hessian_form([1.0, 1.0]),
+                 lambda: ev.hessian_form([0.0, 0.0], [1.0, 1.0]),
+                 lambda: pt.estimate(), lambda: ev.evans_estimate([0.0, 0.0]),
+                 lambda: ev.hessian_form([], [])):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_checks_solve_once_per_point(monkeypatch):
+    solved = []
+    solve_c = ev.solve_c
+    monkeypatch.setattr(ev, "solve_c", lambda x: solved.append(tuple(x)) or solve_c(x))
+    for check in (lambda: vf.check_gradients(points=20), lambda: vf.check_lipschitz(pairs=50)):
+        solved.clear()
+        assert check().ok
+        assert solved and len(solved) == len(set(solved))
 
 
 def test_c_bracket_and_scaling():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kalmar import exact as ex
+from kalmar import verify as vf
 from kalmar.errors import PreconditionError, ResourceLimitError
 from kalmar.primes import first_primes
 
@@ -276,6 +277,16 @@ def test_supermultiplicativity_small():
             knm = ex.kalmar_macmahon(ex.signature_of(n * m))
             assert knm >= 2 * ex.kalmar_macmahon(ex.signature_of(n)) \
                 * ex.kalmar_macmahon(ex.signature_of(m)), (n, m)
+
+
+def test_product_signature_codes():
+    # verify's supermultiplicative check gets sig(n m) as code(n a) + code(m/a)
+    codes = [vf._sig_code(sig or ()) for sig in vf._sig_table(200)]
+    for n in range(2, 201):
+        got = [vf._code_sig(code) for code in vf._product_codes(n, codes)]
+        assert got == [ex.signature_of(n * m) for m in range(n, 201)], n
+    assert vf._code_sig(vf._sig_code((9, 3, 3, 1))) == (9, 3, 3, 1)
+    assert vf._sig_code(()) == 0 and vf._code_sig(0) == ()
 
 
 def test_power_bound_small():
