@@ -8,7 +8,9 @@ Every candidate is a head (N = 1, or last exponent >= 2) followed by j >= 0
 exponents 1 on the next primes, its 1-tail; one packed sum gives K for a
 head and its whole 1-tail (exact.kalmar_tail, whose slots are 2 bits(X)
 wide because K(n) <= n^2).  Champions are the strict running maxima of K
-in N-order.  N = 1 (empty signature, K = 1) is champion rank 1.
+in N-order.  N = 1 (empty signature, K = 1) is champion rank 1.  A
+Candidate keeps its signature as bytes, one exponent per byte, so a held
+list of them costs about 190 bytes per candidate at X20.
 
 The census is one streaming pass: it counts the candidates and keeps only
 those whose K exceeds every K seen at a smaller bit length, which every
@@ -56,15 +58,26 @@ class Candidate:
 
     A plain slots class, not a NamedTuple: the census holds one per
     candidate, and a tuple of three costs 16 bytes more than three slots.
-    Equality, hashing and repr are over (signature, value, k_value).
+    The signature is stored as bytes, one exponent per byte: 33 bytes plus
+    one per prime, where a tuple costs 40 plus eight per prime, and bytes
+    are not tracked by the garbage collector.  A signature with an exponent
+    of 256 or more stays a tuple.  .signature always reads as a tuple, and
+    equality, hashing and repr are over (signature, value, k_value).
     """
 
-    __slots__ = ("signature", "value", "k_value")
+    __slots__ = ("_sig", "value", "k_value")
 
-    def __init__(self, signature: tuple[int, ...], value: int, k_value: int) -> None:
-        self.signature = signature
+    def __init__(self, signature: tuple[int, ...] | bytes, value: int, k_value: int) -> None:
+        try:
+            self._sig = bytes(signature)     # a bytes argument is returned as is
+        except ValueError:                   # an exponent >= 256
+            self._sig = tuple(signature)
         self.value = value          # N = 2^a1 3^a2 ... p_k^ak
         self.k_value = k_value      # K(N)
+
+    @property
+    def signature(self) -> tuple[int, ...]:
+        return tuple(self._sig)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -120,11 +133,12 @@ def enumerate_candidates(x: int, max_candidates: int = 20_000_000) -> Iterator[C
         raise DomainError("the bound must be >= 1")
     primes = _admissible_primes(x)
     top = x.bit_length() - 1                  # max{w : 2^w <= x}
-    ones = [(1,) * j for j in range(len(primes) + 1)]
+    kind = bytes if top < 256 else tuple      # no exponent reaches 256 below 2^256
+    ones = [kind((1,) * j) for j in range(len(primes) + 1)]
     cols: dict[int, list[int]] = {}
     count = 0
     # a head waiting its turn: N, signature, Omega, its parent's tau*, its L
-    stack = [(1, (), 0, [1] * top, top)]
+    stack = [(1, kind(), 0, [1] * top, top)]
     while stack:
         value, sig, om, taus, length = stack.pop()
         idx = len(sig)                        # primes[idx] is the next prime
@@ -157,7 +171,7 @@ def enumerate_candidates(x: int, max_candidates: int = 20_000_000) -> Iterator[C
             while q and t <= x:
                 length += 1
                 t *= q
-            heads.append((v, sig + (e,), om + e, taus, length))
+            heads.append((v, sig + kind((e,)), om + e, taus, length))
             v *= p
             e += 1
         stack.extend(reversed(heads))
@@ -196,21 +210,25 @@ def candidate_census(candidates: Iterable[Candidate]) -> tuple[int, list[Champio
     kept: list[Candidate] = []
     limit = 4096            # refilter when kept passes this
     count = 0
-    for c in candidates:
-        count += 1
+    for count, c in enumerate(candidates, 1):
         k = c.k_value
         b = c.value.bit_length()
+        try:
+            if k <= floor[b]:
+                continue
+        except IndexError:                  # the last slot covers longer lengths
+            if k <= floor[-1]:
+                continue
         if b + 1 >= len(floor):
             floor += [floor[-1]] * (b + 2 - len(floor))
-        if k > floor[b]:
-            kept.append(c)
-            j = b + 1                       # floor is non-decreasing in b
-            while j < len(floor) and floor[j] < k:
-                floor[j] = k
-                j += 1
-            if len(kept) > limit:
-                kept = [c for c in kept if c.k_value > floor[c.value.bit_length()]]
-                limit = max(4096, 2 * len(kept))
+        kept.append(c)
+        j = b + 1                           # floor is non-decreasing in b
+        while j < len(floor) and floor[j] < k:
+            floor[j] = k
+            j += 1
+        if len(kept) > limit:
+            kept = [c for c in kept if c.k_value > floor[c.value.bit_length()]]
+            limit = max(4096, 2 * len(kept))
     ordered = sorted((c for c in kept if c.k_value > floor[c.value.bit_length()]),
                      key=lambda c: c.value)
     if not ordered:

@@ -147,9 +147,12 @@ class EvansPoint(NamedTuple):
             raise DomainError("Hessian form needs strictly positive entries")
         if len(h) != len(x):
             raise DomainError("h must have the same length as x")
-        cross = math.fsum(hi / (c + v) for hi, v in zip(h, x))
-        diag = math.fsum(c * hi * hi / (v * (c + v)) for hi, v in zip(h, x))
-        return (c / self.t) * cross * cross - diag
+        # c (sum h_i/(c+x_i))^2 / T - sum c h_i^2/(x_i (c+x_i)), with every
+        # c+x_i written as c (1 + x_i/c) so that nothing overflows near the
+        # float limit
+        cross = math.fsum(hi / (1.0 + v / c) for hi, v in zip(h, x))
+        diag = math.fsum(hi * hi / (v * (1.0 + v / c)) for hi, v in zip(h, x))
+        return (cross / c) * (cross / self.t) - diag
 
     def estimate(self) -> EvansEstimate:
         """c, T, F, log A, B and the estimate sqrt(pi) A B at this point.

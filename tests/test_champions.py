@@ -1,6 +1,8 @@
 """Champion enumeration, census, stats, laws, and the census cache."""
 
+import gc
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -155,6 +157,22 @@ def test_streaming_census_memory():
     assert stream * 3 < listed, (stream, listed)
 
 
+def test_candidate_list_memory():
+    # a held candidate list costs under 200 B per candidate: the object, a
+    # bytes signature, N and K (about 211 B with tuple signatures)
+    x = 10**12
+    list(ch.enumerate_candidates(x))    # warm the kernel's caches
+    gc.collect()                        # and empty the tuple free lists
+    tracemalloc.start()
+    try:
+        cands = list(ch.enumerate_candidates(x))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(cands) == 4357
+    assert held / len(cands) <= 200, held / len(cands)
+
+
 def test_champions_x12():
     cen = ch.census(12)
     assert cen.champion_count == 5
@@ -244,6 +262,24 @@ def test_candidate_layout():
     assert c != ((2, 1), 12, 8)                 # not a tuple
     assert len({c, twin, ch.Candidate((), 1, 1)}) == 2
     assert repr(c) == "Candidate(signature=(2, 1), value=12, k_value=8)"
+
+
+def test_candidate_signature_storage():
+    # bytes or tuple in, the same candidate out; .signature is always a tuple
+    # (the K values here are not checked)
+    for sig, n, k in (((2, 1), 12, 8), ((), 1, 1), ((255, 3), 2**255 * 27, 1)):
+        a, b = ch.Candidate(sig, n, k), ch.Candidate(bytes(sig), n, k)
+        assert a == b and hash(a) == hash(b) == hash((sig, n, k))
+        assert type(a.signature) is tuple and a.signature == b.signature == sig
+    big = ch.Candidate((300,), 2**300, 2**299)  # an exponent that fits no byte
+    assert big.signature == (300,) and type(big.signature) is tuple
+    assert big == ch.Candidate([300], 2**300, 2**299)
+    assert ch.Candidate((), 1, 1).signature == ()
+    assert next(ch.enumerate_candidates(1)).signature == ()
+    # above 2^256 the root's children include exponents >= 256
+    for c in itertools.islice(ch.enumerate_candidates(2**300), 100):
+        assert c.value == math.prod(map(pow, first_primes(len(c.signature) or 1), c.signature))
+        assert c.k_value == ex.kalmar_macmahon(c.signature)
 
 
 def read_cache(path):

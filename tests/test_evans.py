@@ -30,7 +30,9 @@ def test_solve_c_closed_forms():
     for i in (0, 1):
         assert 0.0 <= ev.grad_c(big, i) <= 2.0
         assert 0.0 < ev.grad_f(big, i) < math.inf
-    ev.hessian_form(big, [1.0, -1.0])  # T > 0 now, so no ZeroDivisionError
+    # the form is homogeneous of degree -1 in x, and finite near the limit
+    form = ev.hessian_form(big, [1.0, -1.0])
+    assert abs(form / (1e-307 * ev.hessian_form([8.0, 5.0], [1.0, -1.0])) - 1.0) < 1e-12
 
 
 def test_evans_point():
