@@ -10,7 +10,9 @@ head and its whole 1-tail (exact.kalmar_tail, whose slots are 2 bits(X)
 wide because K(n) <= n^2).  Champions are the strict running maxima of K
 in N-order.  N = 1 (empty signature, K = 1) is champion rank 1.  A
 Candidate keeps its signature as bytes, one exponent per byte, so a held
-list of them costs about 190 bytes per candidate at X20.
+list of them costs about 190 bytes per candidate at X20 (244 with tuple
+signatures).  Only a caller that holds the list sees this; the census
+below streams and is within a megabyte either way.
 
 The census is one streaming pass: it counts the candidates and keeps only
 those whose K exceeds every K seen at a smaller bit length, which every
@@ -213,14 +215,10 @@ def candidate_census(candidates: Iterable[Candidate]) -> tuple[int, list[Champio
     for count, c in enumerate(candidates, 1):
         k = c.k_value
         b = c.value.bit_length()
-        try:
-            if k <= floor[b]:
-                continue
-        except IndexError:                  # the last slot covers longer lengths
-            if k <= floor[-1]:
-                continue
         if b + 1 >= len(floor):
             floor += [floor[-1]] * (b + 2 - len(floor))
+        if k <= floor[b]:
+            continue
         kept.append(c)
         j = b + 1                           # floor is non-decreasing in b
         while j < len(floor) and floor[j] < k:

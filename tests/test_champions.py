@@ -276,7 +276,9 @@ def test_candidate_signature_storage():
     assert big == ch.Candidate([300], 2**300, 2**299)
     assert ch.Candidate((), 1, 1).signature == ()
     assert next(ch.enumerate_candidates(1)).signature == ()
-    # above 2^256 the root's children include exponents >= 256
+    # above 2^256 the root's heads reach exponent 300 and are built without
+    # error; the first 100 candidates (the root's 1-tail, then the (2,)
+    # subtree, all exponents < 256) re-multiply and have exact K
     for c in itertools.islice(ch.enumerate_candidates(2**300), 100):
         assert c.value == math.prod(map(pow, first_primes(len(c.signature) or 1), c.signature))
         assert c.k_value == ex.kalmar_macmahon(c.signature)
