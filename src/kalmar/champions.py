@@ -246,8 +246,8 @@ def champions_from_candidates(candidates: Iterable[Candidate]) -> list[ChampionR
     return candidate_census(candidates)[1]
 
 
-def find_champions(x: int, max_candidates: int = 20_000_000) -> list[ChampionRecord]:
-    return champions_from_candidates(enumerate_candidates(x, max_candidates))
+def find_champions(x: int) -> list[ChampionRecord]:
+    return champions_from_candidates(enumerate_candidates(x))
 
 
 class CensusResult(NamedTuple):
@@ -271,11 +271,10 @@ def census_from_records(x: int, candidate_count: int,
     )
 
 
-def census(x: int, candidates: Iterable[Candidate] | None = None,
-           max_candidates: int = 20_000_000) -> CensusResult:
+def census(x: int, candidates: Iterable[Candidate] | None = None) -> CensusResult:
     """Counts over candidates and champions up to x, in one streaming pass."""
     if candidates is None:
-        candidates = enumerate_candidates(x, max_candidates)
+        candidates = enumerate_candidates(x)
     return census_from_records(x, *candidate_census(candidates))
 
 

@@ -34,15 +34,12 @@ ENV_SIEVE = "KALMAR_SIEVE_BOUND"
 class RunConfig:
     """Settings of one run: these defaults, then the environment, then flags."""
 
-    def __init__(self, sieve_bound: int | None = None, kappa: float = 1.5,
-                 omega_max: int = 12, cache_path: str | None = None,
-                 output_format: str = "text", digits: int = 12) -> None:
-        self.sieve_bound = sieve_bound
-        self.kappa = kappa
-        self.omega_max = omega_max
-        self.cache_path = cache_path
-        self.output_format = output_format
-        self.digits = digits
+    sieve_bound: int | None = None
+    kappa = 1.5
+    omega_max = 12
+    cache_path: str | None = None
+    output_format = "text"
+    digits = 12
 
     def validate(self) -> None:
         if self.sieve_bound is not None and self.sieve_bound < 10_000:
@@ -231,6 +228,8 @@ def _cmd_optimum(args, cfg: RunConfig, out) -> int:
 
 def _cmd_witness(args, cfg: RunConfig, out) -> int:
     log_ns = [float(t) for t in str(args.log_n).split(",") if t]
+    if not log_ns:
+        raise DomainError("give at least one log n")
     d = cfg.digits
     if len(log_ns) == 1:
         w = op.witness_m(log_ns[0], cfg.kappa)
@@ -286,9 +285,13 @@ def _census_with_cache(x: int, cfg: RunConfig):
             return cached
     count, records = ch.candidate_census(ch.enumerate_candidates(x))
     if cfg.cache_path:
-        ch.save_candidates(cfg.cache_path, x, count, records)
-        print(f"saved census ({count} candidates, {len(records)} records) "
-              f"to {cfg.cache_path}", file=sys.stderr)
+        try:
+            ch.save_candidates(cfg.cache_path, x, count, records)
+        except OSError as e:    # as a bad cache on load is a miss, not an error
+            print(f"could not save census to {cfg.cache_path}: {e}", file=sys.stderr)
+        else:
+            print(f"saved census ({count} candidates, {len(records)} records) "
+                  f"to {cfg.cache_path}", file=sys.stderr)
     return count, records
 
 
@@ -402,7 +405,8 @@ def build_parser() -> _Parser:
     o.set_defaults(fn=_cmd_optimum)
 
     w = sub.add_parser("witness", parents=[common],
-                       help="integer witness with certified log K lower bound")
+                       help="integer witness m with log K(m): exact, or the fitted "
+                            "lower sandwich unit (C3' = 1), not a proven bound")
     w.add_argument("--log-n", dest="log_n", type=str, required=True,
                    help="budget log n, or a comma list for a sweep table")
     w.add_argument("--kappa", type=float)

@@ -150,7 +150,7 @@ def solve_rho(k: int | str = INFINITE) -> float:
     rho_1 = 1 exactly); for zeta itself from s = 1.5, where zeta ~ 2.61.
     The climb stops when a step no longer moves right (see _newton_left).
     """
-    if k == INFINITE or k is None:
+    if k == INFINITE:
         def f(s):
             return math.log(zeta(s)) - LOG2
 
@@ -176,7 +176,7 @@ def lagrange_scale(k: int | str = INFINITE) -> float:
     The infinite sum is not truncated: L'(s) = sum_p log p/(p^s - 1) equals
     -zeta'(s)/zeta(s), so a = -2/zeta'(rho) since zeta(rho) = 2.
     """
-    if k == INFINITE or k is None:
+    if k == INFINITE:
         rho = solve_rho(INFINITE)
         _, zp = zeta(rho, want_derivative=True)
         return -2.0 / zp

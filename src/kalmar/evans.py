@@ -35,6 +35,7 @@ __all__ = [
     "t_of",
     "grad_c",
     "f_of",
+    "sandwich_units",
     "grad_f",
     "hessian_form",
     "log_stirling_s",
@@ -211,6 +212,17 @@ def grad_c(x: Sequence[float], i: int) -> float:
 def f_of(x: Sequence[float]) -> float:
     """F(x) = sum x_j log(1 + c(x)/x_j) with the 0 log 0 = 0 convention."""
     return evans_point(x).f()
+
+
+def sandwich_units(sig: Sequence[int]) -> tuple[float, float]:
+    """(log lower unit, log upper unit) around log K for the exponents sig:
+    F - k - (1/2) sum log a_i and F - (k/2) log pi, k = len(sig).  They
+    bracket log K only with the constants C3', C4' that verify.check_sandwich
+    fits on small n; they are not bounds by themselves."""
+    f = f_of([float(a) for a in sig])
+    k = len(sig)
+    return (f - k - 0.5 * math.fsum(math.log(a) for a in sig),
+            f - 0.5 * k * math.log(math.pi))
 
 
 def grad_f(x: Sequence[float], i: int) -> float:

@@ -40,8 +40,6 @@ __all__ = [
     "Signature",
     "canonical_signature",
     "signature_of",
-    "big_omega",
-    "small_omega",
     "tau_r",
     "tau_star_column",
     "kalmar_tail",
@@ -71,14 +69,6 @@ def signature_of(n: int) -> Signature:
     if n < 1:
         raise PreconditionError("n must be >= 1")
     return canonical_signature(e for _, e in factorize(n))
-
-
-def big_omega(sig: Signature) -> int:
-    return sum(sig)
-
-
-def small_omega(sig: Signature) -> int:
-    return len(sig)
 
 
 def tau_star_column(a: int, length: int) -> list[int]:
@@ -142,24 +132,21 @@ def kalmar_tail(taus: Sequence[int], om: int, tail: int = 0,
     return out
 
 
-def kalmar_macmahon(sig: Iterable[int], taus: Sequence[int] | None = None) -> int:
+def kalmar_macmahon(sig: Iterable[int]) -> int:
     """Exact K(n) by MacMahon's formula grouped by m, with tau*_m =
     prod_h C(a_h+m-1, a_h) the ordered m-tuples of factors >= 1 with product n:
     K = sum_{m<=Om} tau*_m w[m],  w[m] = sum_{j=m}^{Om} (-1)^(j-m) C(j, m).
     C(j, m) = C(j+1, m+1) - C(j, m+1) gives w[Om] = 1 and
     w[m] = 2 w[m+1] + (-1)^(Om-m) C(Om+1, m+1): O(Om) terms, cached per Om.
-    taus, if given, holds tau*_1..tau*_L of sig for some L >= Om; otherwise
-    it is built here.  Raises ResourceLimitError before any work when
-    Om > MACMAHON_MAX_OMEGA."""
+    Raises ResourceLimitError before any work when Om > MACMAHON_MAX_OMEGA."""
     sig = canonical_signature(sig)
     om = sum(sig)
     if om > MACMAHON_MAX_OMEGA:
         raise ResourceLimitError(f"Omega = {om} exceeds cap {MACMAHON_MAX_OMEGA}")
-    if taus is None:
-        taus = [1] * om
-        for a in set(sig):
-            col, c = tau_star_column(a, om), sig.count(a)
-            taus = list(map(mul, taus, col if c == 1 else [x ** c for x in col]))
+    taus = [1] * om
+    for a in set(sig):
+        col, c = tau_star_column(a, om), sig.count(a)
+        taus = list(map(mul, taus, col if c == 1 else [x ** c for x in col]))
     return kalmar_tail(taus, om)[0]
 
 
@@ -267,7 +254,7 @@ def kp_multinomial(sig: Iterable[int]) -> int:
 
 
 def signatures_with_omega(om: int, max_part: int | None = None):
-    """All canonical signatures with big_omega == om (integer partitions)."""
+    """All canonical signatures with Omega == om (integer partitions)."""
     if om == 0:
         yield ()
         return

@@ -8,8 +8,9 @@ the budget constraint is tight and dF/dx_i(x*) = rho_k log p_i.  optimum()
 builds the point and verifies all of these numerically.  deficit_check()
 evaluates the quadratic penalty that any other point of the domain pays,
 and witness_m() carries out the rounding construction that turns the
-optimum into an actual integer m with n/2 < m <= n and a certified lower
-bound on log K(m).
+optimum into an actual integer m with n/2 < m <= n and a value for log K(m):
+exact up to WITNESS_EXACT_OMEGA, beyond it the lower sandwich unit with
+C3' = 1 (evans.sandwich_units), which is fitted, not proven.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 from .constants import lagrange_scale, model_constants, solve_rho
 from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
-from .evans import evans_point, f_of
+from .evans import evans_point, f_of, sandwich_units
 from .exact import canonical_signature, kalmar_macmahon
 from .primes import first_primes
 
@@ -35,6 +36,9 @@ __all__ = [
     "WitnessResult",
     "witness_m",
 ]
+
+DIVISOR_MAX_K = 40          # largest_divisor_leq: two halves of 2^20 products
+WITNESS_EXACT_OMEGA = 60    # witness_m: exact K(m) up to this Omega(m)
 
 
 class OptimumPoint(NamedTuple):
@@ -161,18 +165,18 @@ def choose_k(log_n: float, kappa: float = 1.5) -> ChosenK:
     return ChosenK(k, False)
 
 
-def largest_divisor_leq(k: int, bound, max_k: int = 40) -> int:
+def largest_divisor_leq(k: int, bound) -> int:
     """Largest divisor of p_1 p_2 ... p_k that is <= bound.
 
     Meet in the middle over the 2^k squarefree divisors: subset products of
     two prime halves, one side sorted, the other binary-searched.  bound may
     be an int, Fraction or float; comparisons are exact (floats are taken at
-    their binary value).
+    their binary value).  k above DIVISOR_MAX_K raises ResourceLimitError.
     """
-    if not 1 <= k <= 64:
-        raise DomainError("k must be in 1..64")
-    if k > max_k:
-        raise ResourceLimitError(f"k = {k} exceeds the configured limit {max_k}")
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if k > DIVISOR_MAX_K:
+        raise ResourceLimitError(f"k = {k} exceeds the divisor-search cap {DIVISOR_MAX_K}")
     num, den = bound.as_integer_ratio()      # exact, den > 0
     if num < den:
         raise DomainError("bound must be >= 1")
@@ -206,19 +210,20 @@ class WitnessResult(NamedTuple):
     exponents: tuple[int, ...]      # per prime p_1 .. p_k
     m_signature: tuple[int, ...]    # canonical form of the exponents
     ratio_n_over_m: float           # in [1, 2)
-    log_k_lower: float              # log K(m), exact or certified lower bound
+    log_k_lower: float              # exact, or the fitted unit: not a proof
     exact: bool                     # True when log_k_lower is exact log K(m)
 
 
-def witness_m(log_n: float, kappa: float = 1.5, exact_omega_cap: int = 60,
-              c3_fitted: float = 1.0, max_k: int = 40) -> WitnessResult:
+def witness_m(log_n: float, kappa: float = 1.5) -> WitnessResult:
     """Round the optimum to an integer witness m with 1 <= n/m < 2.
 
     m0 = prod p_i^floor(x_i*); d is the largest divisor of p_1...p_k below
     n/m0, and m = m0 d, so each exponent is floor(x_i*) or floor(x_i*) + 1.
-    log K(m) is computed exactly while Omega(m) <= exact_omega_cap and
-    otherwise replaced by the lower bound
-    log(c3_fitted) + F(alpha) - k - (1/2) sum log alpha_i.
+    log K(m) is computed exactly while Omega(m) <= WITNESS_EXACT_OMEGA and
+    otherwise replaced by the lower sandwich unit
+    F(alpha) - k - (1/2) sum log alpha_i (evans.sandwich_units): the bound
+    log C3' + unit with C3', which is fitted on small n, taken as 1, so an
+    estimate and not a proven bound.
     """
     k, _ = choose_k(log_n, kappa)
     rho_k = solve_rho(k)
@@ -233,20 +238,18 @@ def witness_m(log_n: float, kappa: float = 1.5, exact_omega_cap: int = 60,
         )
     floors = [int(x) for x in x_star]
     m0_log = math.fsum(f * lp for f, lp in zip(floors, logs))
-    d = largest_divisor_leq(k, math.exp(log_n - m0_log), max_k=max_k)
+    d = largest_divisor_leq(k, math.exp(log_n - m0_log))
     exps = tuple(f + (1 if d % p == 0 else 0) for f, p in zip(floors, primes))
     m_log = math.fsum(e * lp for e, lp in zip(exps, logs))
     ratio = math.exp(log_n - m_log)
     if not 1.0 - 1e-9 <= ratio < 2.0 * (1.0 + 1e-9):
         raise ConvergenceError(f"witness ratio n/m = {ratio} escaped [1, 2)")
     sig = canonical_signature(exps)
-    if sum(sig) <= exact_omega_cap:
+    exact = sum(sig) <= WITNESS_EXACT_OMEGA
+    if exact:
         log_k_lower = float(math.log(kalmar_macmahon(sig)))
-        exact = True
     else:
-        log_k_lower = (math.log(c3_fitted) + f_of([float(e) for e in exps])
-                       - k - 0.5 * math.fsum(math.log(e) for e in exps))
-        exact = False
+        log_k_lower = sandwich_units(exps)[0]
     return WitnessResult(
         n_log=log_n, k=k, kappa=kappa, x_star=x_star, exponents=exps,
         m_signature=sig, ratio_n_over_m=ratio, log_k_lower=log_k_lower,

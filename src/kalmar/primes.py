@@ -15,7 +15,9 @@ from typing import Iterator
 from .errors import ResourceLimitError
 
 # Hard ceiling for the sieve; raising it is a config decision, not a bug fix.
-DEFAULT_MAX_SIEVE = 200_000_000
+MAX_SIEVE = 200_000_000
+_SEGMENT = 1 << 18              # numbers per segment of iter_primes
+_TRIAL_BOUND = 1_000_000        # largest trial divisor of factorize
 
 _primes: list[int] = []
 _sieved_to: int = 0
@@ -38,18 +40,22 @@ def iter_primes(limit: int) -> Iterator[int]:
     """All primes <= limit in increasing order by a segmented sieve, in
     O(sqrt(limit)) memory; the shared prime list is left alone.  The
     capacity check runs at the call, before anything is allocated."""
-    if limit > DEFAULT_MAX_SIEVE:
-        raise ResourceLimitError(
-            f"sieve bound {limit} exceeds configured capacity {DEFAULT_MAX_SIEVE}"
-        )
+    _check_capacity(limit)
     return _segmented(limit)
 
 
-def _segmented(limit: int, segment: int = 1 << 18) -> Iterator[int]:
+def _check_capacity(limit: int) -> None:
+    if limit > MAX_SIEVE:
+        raise ResourceLimitError(
+            f"sieve bound {limit} exceeds configured capacity {MAX_SIEVE}"
+        )
+
+
+def _segmented(limit: int) -> Iterator[int]:
     base = sieve_primes(math.isqrt(limit))
     yield from base
-    for lo in range(math.isqrt(limit) + 1, limit + 1, segment):
-        hi = min(lo + segment, limit + 1)
+    for lo in range(math.isqrt(limit) + 1, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
         seg = bytearray(b"\x01") * (hi - lo)
         for p in base:
             if p * p >= hi:
@@ -59,27 +65,24 @@ def _segmented(limit: int, segment: int = 1 << 18) -> Iterator[int]:
         yield from compress(range(lo, hi), seg)
 
 
-def _ensure_sieved(limit: int, max_sieve: int = DEFAULT_MAX_SIEVE) -> None:
+def _ensure_sieved(limit: int) -> None:
     global _primes, _sieved_to
     if limit <= _sieved_to:
         return
-    if limit > max_sieve:
-        raise ResourceLimitError(
-            f"sieve bound {limit} exceeds configured capacity {max_sieve}"
-        )
+    _check_capacity(limit)
     _primes = sieve_primes(limit)
     _sieved_to = limit
 
 
-def primes_up_to(limit: int, max_sieve: int = DEFAULT_MAX_SIEVE) -> list[int]:
+def primes_up_to(limit: int) -> list[int]:
     """Sorted list of all primes <= limit (shared cache; do not mutate)."""
-    _ensure_sieved(limit, max_sieve)
+    _ensure_sieved(limit)
     if limit == _sieved_to:
         return _primes
     return _primes[: bisect.bisect_right(_primes, limit)]
 
 
-def first_primes(k: int, max_sieve: int = DEFAULT_MAX_SIEVE) -> list[int]:
+def first_primes(k: int) -> list[int]:
     """The first k primes."""
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -87,20 +90,20 @@ def first_primes(k: int, max_sieve: int = DEFAULT_MAX_SIEVE) -> list[int]:
         # p_k < k (log k + log log k) for k >= 6
         bound = 100 if k < 6 else int(k * (math.log(k) + math.log(math.log(k)))) + 10
         while True:
-            _ensure_sieved(bound, max_sieve)
+            _ensure_sieved(bound)
             if len(_primes) >= k:
                 break
-            bound = min(bound * 2, max_sieve)
+            bound = min(bound * 2, MAX_SIEVE)
             if bound == _sieved_to:
                 raise ResourceLimitError(f"cannot reach {k} primes within sieve capacity")
     return _primes[:k]
 
 
-def nth_prime(k: int, max_sieve: int = DEFAULT_MAX_SIEVE) -> int:
+def nth_prime(k: int) -> int:
     """The k-th prime, 1-based: nth_prime(1) = 2."""
     if k < 1:
         raise ValueError("prime index must be >= 1")
-    return first_primes(k, max_sieve)[k - 1]
+    return first_primes(k)[k - 1]
 
 
 def is_prime(n: int) -> bool:
@@ -129,17 +132,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, trial_bound: int = 1_000_000) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n by trial division.
+def factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n by trial division up to _TRIAL_BOUND.
 
-    A remainder above trial_bound**2 that is not a probable prime is returned
+    A remainder above _TRIAL_BOUND**2 that is not a probable prime is returned
     as a single composite pseudo-factor; callers that need certainty should
     check is_prime on the parts.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: list[tuple[int, int]] = []
-    for p in primes_up_to(min(trial_bound, math.isqrt(n) + 1)):
+    for p in primes_up_to(min(_TRIAL_BOUND, math.isqrt(n) + 1)):
         if p * p > n:
             break
         e = 0

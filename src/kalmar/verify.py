@@ -107,7 +107,7 @@ def check_truncated_table() -> CheckResult:
 # --------------------------------------------------------------------------
 # exact K
 
-def check_triple_oracle(omega_max: int = 12, series_r: int = 64) -> CheckResult:
+def check_triple_oracle(omega_max: int = 12) -> CheckResult:
     """MacMahon == recursion, series bracket containment, K_P <= K, for every
     signature with big_omega <= omega_max."""
     n_sigs = 0
@@ -116,7 +116,7 @@ def check_triple_oracle(omega_max: int = 12, series_r: int = 64) -> CheckResult:
             n_sigs += 1
             k1 = ex.kalmar_macmahon(sig)
             k2 = ex.kalmar_recursive(sig)
-            lo, hi = ex.kalmar_series_bounds(sig, max(series_r, 3 * om))
+            lo, hi = ex.kalmar_series_bounds(sig, max(64, 3 * om))
             if k1 != k2:
                 return CheckResult("triple_oracle", False, f"{sig}: {k1} != {k2}")
             if not lo <= k1 <= hi:
@@ -207,9 +207,8 @@ def check_supermultiplicative(n_max: int = 2000) -> CheckResult:
 # --------------------------------------------------------------------------
 # analysis kernel
 
-def _random_vector(rng: random.Random, max_len: int = 20,
-                   lo: float = 1e-3, hi: float = 4.0) -> list[float]:
-    return [rng.uniform(lo, hi) for _ in range(rng.randint(1, max_len))]
+def _random_vector(rng: random.Random) -> list[float]:
+    return [rng.uniform(1e-3, 4.0) for _ in range(rng.randint(1, 20))]
 
 
 def check_scaling(samples: int = 1000, seed: int = 2024) -> CheckResult:
@@ -306,20 +305,11 @@ def check_ratio_extremes(omega_max: int = 12) -> CheckResult:
                        f"r <= {omega_max}; ratio at (1) = {r1:.10f}")
 
 
-def _sandwich_units(sig: tuple[int, ...]) -> tuple[float, float]:
-    """(log lower unit, log upper unit) of the bracket around log K:
-    F - k - (1/2) sum log a_i  and  F - (k/2) log pi."""
-    f = ev.f_of([float(a) for a in sig])
-    k = len(sig)
-    return (f - k - 0.5 * math.fsum(math.log(a) for a in sig),
-            f - 0.5 * k * math.log(math.pi))
-
-
 def fit_sandwich_constants(n_max: int = 100_000) -> tuple[float, float, list]:
     """Extremal C3' and C4' over every signature realized below n_max, and
     the fitted points (log K, log lower unit, log upper unit).  C3' and C4'
     scale different units and are not comparable to each other."""
-    points = [(math.log(c.k_value), *_sandwich_units(c.signature))
+    points = [(math.log(c.k_value), *ev.sandwich_units(c.signature))
               for c in ch.enumerate_candidates(n_max) if c.signature]
     c3 = min((math.exp(logk - lo_u) for logk, lo_u, _ in points), default=float("inf"))
     c4 = max((math.exp(logk - hi_u) for logk, _, hi_u in points), default=0.0)
@@ -379,7 +369,7 @@ def check_witness_sweep(log_ns=tuple(range(50, 1001, 50))) -> CheckResult:
         if not 1.0 - 1e-9 <= w.ratio_n_over_m < 2.0 + 1e-9:
             return CheckResult("witness_sweep", False, f"ratio {w.ratio_n_over_m} at {ln}")
         if w.exact:
-            lo_u, hi_u = _sandwich_units(w.exponents)
+            lo_u, hi_u = ev.sandwich_units(w.exponents)
             if not math.log(c3) + lo_u <= w.log_k_lower <= math.log(c4) + hi_u:
                 return CheckResult("witness_sweep", False,
                                    f"exact K(m) escapes the fitted bracket at {ln}")

@@ -134,6 +134,17 @@ def test_census_cache_miss_then_hit(tmp_path):
         assert sum(1 for _ in fh) == 1 + 397              # header and the records
 
 
+def test_unwritable_cache_still_prints(tmp_path):
+    plain = run_cli("champions", "--x", "1000", "--census")
+    (tmp_path / "adir").mkdir()
+    for path in (tmp_path / "missing" / "x.cache", tmp_path / "adir"):
+        cp = run_cli("champions", "--x", "1000", "--census", "--cache", str(path))
+        assert cp.returncode == 0, cp.stderr
+        assert f"could not save census to {path}: " in cp.stderr
+        assert cp.stdout == plain.stdout
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_cache_env_var(tmp_path):
     path = str(tmp_path / "envcache.txt")
     cp = run_cli("champions", "--x", "100", env={"KALMAR_CACHE": path})
@@ -170,6 +181,8 @@ def test_exit_codes():
     assert run_cli("nosuch").returncode == 1
     assert run_cli().returncode == 1
     assert run_cli("witness", "--log-n", "100", "--kappa", "1.9").returncode == 1
+    cp = run_cli("witness", "--log-n", ",")
+    assert cp.returncode == 1 and cp.stdout == "" and "at least one log n" in cp.stderr
     assert run_cli("k", "--signature", "2,-1").returncode == 1
     assert run_cli("--help").returncode == 0
     assert run_cli("constants", "--precision", "1e-6").returncode == 1     # removed flags
@@ -217,7 +230,7 @@ def test_golden_default_output():
     # default 12-digit stdout, pinned byte for byte
     with open(os.path.join(os.path.dirname(__file__), "golden_cli.txt")) as fh:
         cases = fh.read().split("$ kalmar ")[1:]
-    assert len(cases) == 11
+    assert len(cases) == 12
     for case in cases:
         argv, expected = case.split("\n", 1)
         cp = run_cli(*argv.split())
@@ -235,6 +248,8 @@ def test_resource_limits_exit_2():
     assert time.monotonic() - t0 < 10
     cp = run_cli("constants", "--sieve-bound", "300000000")
     assert cp.returncode == 2 and "exceeds configured capacity" in cp.stderr
+    cp = run_cli("witness", "--log-n", "1e5")                 # k above the divisor cap
+    assert cp.returncode == 2 and "cap 40" in cp.stderr, cp.stderr
     for argv in (("k", "--signature", "1000000"), ("approx", "--signature", "200000")):
         t0 = time.monotonic()
         cp = subprocess.run([sys.executable, "-m", "kalmar", *argv],

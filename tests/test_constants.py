@@ -21,7 +21,7 @@ def test_nth_prime_values():
 
 def test_nth_prime_capacity():
     with pytest.raises(ResourceLimitError):
-        nth_prime(10**9, max_sieve=10**6)
+        nth_prime(10**9)     # p_k bound ~2.4e10 exceeds the cap before sieving
 
 
 def test_sieve_against_trial_division():

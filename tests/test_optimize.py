@@ -113,8 +113,10 @@ def test_largest_divisor_errors():
         op.largest_divisor_leq(0, 5)
     with pytest.raises(DomainError):
         op.largest_divisor_leq(3, 0.5)
-    with pytest.raises(ResourceLimitError):
-        op.largest_divisor_leq(50, 10**10, max_k=40)
+    with pytest.raises(ResourceLimitError, match="cap 40"):
+        op.largest_divisor_leq(50, 10**10)
+    with pytest.raises(ResourceLimitError, match="cap 40"):    # one cap, not 64
+        op.largest_divisor_leq(65, 10)
 
 
 def test_witness_exact_regime():
