@@ -25,6 +25,7 @@ and a stale, unparsable or failing cache loads as a miss.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from operator import mul
@@ -360,7 +361,10 @@ def save_candidates(path: str, x: int, candidate_count: int,
     """Write the census at x: a header with the bound, the package version,
     the candidate count and the CRC-32 of the body, then one 'signature;N;K'
     line per record.  The file goes to a temporary name beside path and is
-    renamed into place, so a reader sees the old file or the whole new one."""
+    renamed into place, so a reader sees the old file or the whole new one.
+    A directory at path is refused before anything is written."""
+    if os.path.isdir(path):     # else the rename fails only after the whole write
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     body = "".join(f"{','.join(map(str, r.candidate.signature))};"
                    f"{r.candidate.value};{r.candidate.k_value}\n" for r in records)
     tmp = f"{path}.{os.getpid()}.tmp"

@@ -2,7 +2,13 @@
 
 Subcommands: k, constants, approx, ratio-scan, optimum, witness, deficit,
 champions, verify.  Values go to stdout, diagnostics to stderr.  Exit status:
-0 success, 1 domain/precondition/convergence error, 2 resource error.
+0 success, 1 domain/precondition/convergence error or bad usage, 2 resource
+error.
+
+Each option is declared, with its default and its check, only on the
+subcommands that read it: --format and --digits on the seven that print
+tables (all but k and verify), --sieve-bound on constants, --cache on
+champions (default $KALMAR_CACHE, the one setting read from the environment).
 
 Output is byte-reproducible for a fixed argv.  Exact integers print in full
 decimal; reals print to --digits significant digits (12 by default).  CSV is
@@ -28,42 +34,6 @@ from .errors import DomainError, KalmarError, ResourceLimitError
 from .primes import factorize, is_prime
 
 ENV_CACHE = "KALMAR_CACHE"
-ENV_SIEVE = "KALMAR_SIEVE_BOUND"
-
-
-class RunConfig:
-    """Settings of one run: these defaults, then the environment, then flags."""
-
-    sieve_bound: int | None = None
-    kappa = 1.5
-    omega_max = 12
-    cache_path: str | None = None
-    output_format = "text"
-    digits = 12
-
-    def validate(self) -> None:
-        if self.sieve_bound is not None and self.sieve_bound < 10_000:
-            raise DomainError("sieve bound must be >= 10000")
-        if self.output_format not in ("text", "csv"):
-            raise DomainError(f"unknown format {self.output_format!r}")
-        if self.digits < 1:
-            raise DomainError(f"--digits must be >= 1, got {self.digits}")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    env_sieve = os.environ.get(ENV_SIEVE)
-    if env_sieve:
-        cfg.sieve_bound = int(env_sieve)
-    cfg.cache_path = os.environ.get(ENV_CACHE) or None
-    for field in ("sieve_bound", "kappa", "omega_max", "cache_path", "digits"):
-        v = getattr(args, field, None)
-        if v is not None:
-            setattr(cfg, field, v)
-    if getattr(args, "output_format", None):
-        cfg.output_format = args.output_format
-    cfg.validate()
-    return cfg
 
 
 # --- formatting -------------------------------------------------------------
@@ -111,8 +81,8 @@ def factor_string(n: int) -> str:
     return "*".join(parts)
 
 
-def _emit_table(header: list[str], rows: list[list[str]], cfg: RunConfig, out) -> None:
-    if cfg.output_format == "csv":
+def _emit_table(header: list[str], rows: list[list[str]], args, out) -> None:
+    if args.output_format == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
             out.write(",".join(row) + "\n")
@@ -124,13 +94,13 @@ def _emit_table(header: list[str], rows: list[list[str]], cfg: RunConfig, out) -
         out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _emit_pairs(pairs: list[tuple[str, str]], cfg: RunConfig, out) -> None:
-    _emit_table(["name", "value"], [[n, v] for n, v in pairs], cfg, out)
+def _emit_pairs(pairs: list[tuple[str, str]], args, out) -> None:
+    _emit_table(["name", "value"], [[n, v] for n, v in pairs], args, out)
 
 
 # --- subcommands ------------------------------------------------------------
 
-def _cmd_k(args, cfg: RunConfig, out) -> int:
+def _cmd_k(args, out) -> int:
     if (args.n is None) == (args.signature is None):
         raise DomainError("give exactly one of --n or --signature")
     sig = ex.signature_of(args.n) if args.n is not None else parse_signature(args.signature)
@@ -149,9 +119,9 @@ def _cmd_k(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _cmd_constants(args, cfg: RunConfig, out) -> int:
+def _cmd_constants(args, out) -> int:
     tab = cn.model_constants()
-    d = cfg.digits
+    d = args.digits
     pairs = [
         ("rho", fmt_real(tab.rho, d)),
         ("a", fmt_real(tab.a, d)),
@@ -168,22 +138,22 @@ def _cmd_constants(args, cfg: RunConfig, out) -> int:
         trunc = cn.truncated_constants(args.k)
         pairs.append((f"rho_{trunc.k}", fmt_real(trunc.rho_k, d)))
         pairs.append((f"a_{trunc.k}", fmt_real(trunc.a_k, d)))
-    if cfg.sieve_bound is not None:
-        for name, (value, err) in cn.prime_sum_check(cfg.sieve_bound).items():
+    if args.sieve_bound is not None:
+        for name, (value, err) in cn.prime_sum_check(args.sieve_bound).items():
             pairs.append((f"sieve_{name}", fmt_real(value, d)))
             pairs.append((f"sieve_{name}_tail_err", fmt_real(err, 3)))
-    _emit_pairs(pairs, cfg, out)
+    _emit_pairs(pairs, args, out)
     return 0
 
 
-def _cmd_approx(args, cfg: RunConfig, out) -> int:
+def _cmd_approx(args, out) -> int:
     sig = parse_signature(args.signature)
     if not sig:
         raise DomainError("the estimate needs a non-empty signature")
     est = ev.evans_estimate([float(a) for a in sig])
     k_exact = ex.kalmar_macmahon(sig)
     ratio = math.exp(math.log(k_exact) - est.log_estimate)
-    d = cfg.digits
+    d = args.digits
     _emit_pairs([
         ("signature", fmt_signature(sig)),
         ("c", fmt_real(est.c, d)),
@@ -195,25 +165,25 @@ def _cmd_approx(args, cfg: RunConfig, out) -> int:
         ("estimate", fmt_real(est.estimate, d)),
         ("K", str(k_exact)),
         ("ratio", fmt_real(ratio, d)),
-    ], cfg, out)
+    ], args, out)
     return 0
 
 
-def _cmd_ratio_scan(args, cfg: RunConfig, out) -> int:
-    rows = ev.ratio_scan(cfg.omega_max)
-    d = cfg.digits
+def _cmd_ratio_scan(args, out) -> int:
+    rows = ev.ratio_scan(args.omega_max)
+    d = args.digits
     _emit_table(
         ["omega", "min_ratio", "argmin", "max_ratio", "argmax"],
         [[str(r.omega), fmt_real(r.min_ratio, d), fmt_signature(r.argmin),
           fmt_real(r.max_ratio, d), fmt_signature(r.argmax)] for r in rows],
-        cfg, out,
+        args, out,
     )
     return 0
 
 
-def _cmd_optimum(args, cfg: RunConfig, out) -> int:
+def _cmd_optimum(args, out) -> int:
     p = op.optimum(args.k, args.budget)
-    d = cfg.digits
+    d = args.digits
     _emit_pairs([
         ("k", str(p.k)),
         ("A", fmt_real(p.budget, d)),
@@ -222,17 +192,14 @@ def _cmd_optimum(args, cfg: RunConfig, out) -> int:
         ("c_star", fmt_real(p.c_star, d)),
         ("F_star", fmt_real(p.f_star, d)),
         ("x_star", "[" + ",".join(fmt_real(x, d) for x in p.x_star) + "]"),
-    ], cfg, out)
+    ], args, out)
     return 0
 
 
-def _cmd_witness(args, cfg: RunConfig, out) -> int:
-    log_ns = [float(t) for t in str(args.log_n).split(",") if t]
-    if not log_ns:
-        raise DomainError("give at least one log n")
-    d = cfg.digits
-    if len(log_ns) == 1:
-        w = op.witness_m(log_ns[0], cfg.kappa)
+def _cmd_witness(args, out) -> int:
+    d = args.digits
+    if len(args.log_n) == 1:
+        w = op.witness_m(args.log_n[0], args.kappa)
         _emit_pairs([
             ("log_n", fmt_real(w.n_log, d)),
             ("kappa", fmt_real(w.kappa, d)),
@@ -243,24 +210,24 @@ def _cmd_witness(args, cfg: RunConfig, out) -> int:
             ("ratio_n_over_m", fmt_real(w.ratio_n_over_m, d)),
             ("log_K_lower", fmt_real(w.log_k_lower, d)),
             ("exact", str(w.exact).lower()),
-        ], cfg, out)
+        ], args, out)
         return 0
     rows = []
-    for ln in log_ns:       # sweep mode: one row per budget
-        w = op.witness_m(ln, cfg.kappa)
+    for ln in args.log_n:   # sweep mode: one row per budget
+        w = op.witness_m(ln, args.kappa)
         rows.append([fmt_real(w.n_log, d), str(w.k), str(sum(w.m_signature)),
                      fmt_real(w.ratio_n_over_m, d), fmt_real(w.log_k_lower, d),
                      str(w.exact).lower()])
     _emit_table(["log_n", "k", "Omega_m", "ratio_n_over_m", "log_K_lower", "exact"],
-                rows, cfg, out)
+                rows, args, out)
     return 0
 
 
-def _cmd_deficit(args, cfg: RunConfig, out) -> int:
+def _cmd_deficit(args, out) -> int:
     sig = parse_signature(args.signature)
     k = args.k if args.k is not None else len(sig)
     rep = op.deficit_check([float(a) for a in sig], k, args.budget)
-    d = cfg.digits
+    d = args.digits
     _emit_pairs([
         ("F_alpha", fmt_real(rep.f_alpha, d)),
         ("F_star", fmt_real(rep.f_star, d)),
@@ -270,34 +237,34 @@ def _cmd_deficit(args, cfg: RunConfig, out) -> int:
         ("bound_weak", fmt_real(rep.bound_weak, d)),
         ("slack", fmt_real(rep.slack, d)),
         ("slack_weak", fmt_real(rep.slack_weak, d)),
-    ], cfg, out)
+    ], args, out)
     return 0
 
 
-def _census_with_cache(x: int, cfg: RunConfig):
+def _census_with_cache(x: int, path: str | None):
     """(candidate count, champion records) up to x, through the census cache
-    when one is configured."""
-    if cfg.cache_path:
-        cached = ch.load_candidates(cfg.cache_path, x)
+    at path when one is given."""
+    if path:
+        cached = ch.load_candidates(path, x)
         if cached is not None:
             print(f"loaded census ({cached[0]} candidates, {len(cached[1])} records) "
-                  f"from {cfg.cache_path}", file=sys.stderr)
+                  f"from {path}", file=sys.stderr)
             return cached
     count, records = ch.candidate_census(ch.enumerate_candidates(x))
-    if cfg.cache_path:
+    if path:
         try:
-            ch.save_candidates(cfg.cache_path, x, count, records)
+            ch.save_candidates(path, x, count, records)
         except OSError as e:    # as a bad cache on load is a miss, not an error
-            print(f"could not save census to {cfg.cache_path}: {e}", file=sys.stderr)
+            print(f"could not save census to {path}: {e.strerror}", file=sys.stderr)
         else:
             print(f"saved census ({count} candidates, {len(records)} records) "
-                  f"to {cfg.cache_path}", file=sys.stderr)
+                  f"to {path}", file=sys.stderr)
     return count, records
 
 
-def _cmd_champions(args, cfg: RunConfig, out) -> int:
+def _cmd_champions(args, out) -> int:
     x = int(args.x)
-    count, records = _census_with_cache(x, cfg)
+    count, records = _census_with_cache(x, args.cache_path)
     if args.census:
         cen = ch.census_from_records(x, count, records)
         pairs = [
@@ -313,11 +280,11 @@ def _cmd_champions(args, cfg: RunConfig, out) -> int:
                 ("largest_alpha_gt1_N", str(rec.candidate.value)),
                 ("largest_alpha_gt1_signature", fmt_signature(rec.candidate.signature)),
             ]
-        _emit_pairs(pairs, cfg, out)
+        _emit_pairs(pairs, args, out)
         return 0
     if args.stats:
         tab = cn.model_constants()
-        d = cfg.digits
+        d = args.digits
         rows = []
         for rec in records:
             st = ch.champion_stats(rec, tab)
@@ -329,7 +296,7 @@ def _cmd_champions(args, cfg: RunConfig, out) -> int:
                 fmt_real(st.p_profile_ratios[0][1], d) if st.p_profile_ratios else "-",
             ])
         _emit_table(["rank", "N", "omega", "Omega", "Omega_residual",
-                     "omega_ratio", "P1_ratio"], rows, cfg, out)
+                     "omega_ratio", "P1_ratio"], rows, args, out)
         return 0
     header = ["rank", "N", "K", "signature"]
     with_factors = args.table == "fig2"
@@ -342,11 +309,11 @@ def _cmd_champions(args, cfg: RunConfig, out) -> int:
         if with_factors:
             row.append(factor_string(rec.candidate.k_value))
         rows.append(row)
-    _emit_table(header, rows, cfg, out)
+    _emit_table(header, rows, args, out)
     return 0
 
 
-def _cmd_verify(args, cfg: RunConfig, out) -> int:
+def _cmd_verify(args, out) -> int:
     results = vf.full_suite(fast=args.fast)
     failed = 0
     for r in results:
@@ -365,19 +332,42 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(flag: str, low: int):
+    """argparse type: an int >= low, refused as '<flag> must be >= <low>'."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} needs an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _log_n_list(text: str) -> list[float]:
+    """argparse type: a comma list of log n, every entry a number."""
+    entries = text.split(",")
+    if not any(entries):
+        raise argparse.ArgumentTypeError("give at least one log n")
+    try:
+        return [float(t) for t in entries]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"every entry must be a number, got {text!r}")
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="kalmar",
                   description="Workbench for the Kalmar ordered-factorization "
                               "function, its analytic model and its champions.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", dest="output_format", choices=("text", "csv"),
-                        help="output format (default text)")
-    common.add_argument("--digits", type=int, help="significant digits for reals (default 12)")
-    common.add_argument("--sieve-bound", dest="sieve_bound", type=int,
-                        help=f"prime sieve bound (also ${ENV_SIEVE})")
+    table = argparse.ArgumentParser(add_help=False)     # subcommands that print tables
+    table.add_argument("--format", dest="output_format", choices=("text", "csv"),
+                       default="text", help="output format (default text)")
+    table.add_argument("--digits", type=_int_at_least("--digits", 1), default=12,
+                       help="significant digits for reals (default 12)")
     sub = top.add_subparsers(dest="command")
 
-    k = sub.add_parser("k", parents=[common], help="exact K(n)")
+    k = sub.add_parser("k", help="exact K(n)")
     k.add_argument("--n", type=int)
     k.add_argument("--signature", type=str, help="exponents, e.g. 8,3,1")
     k.add_argument("--method", choices=("macmahon", "recursive", "series"),
@@ -385,50 +375,54 @@ def build_parser() -> _Parser:
     k.add_argument("--check", action="store_true", help="run all methods and compare")
     k.set_defaults(fn=_cmd_k)
 
-    c = sub.add_parser("constants", parents=[common], help="analytic constants table")
+    c = sub.add_parser("constants", parents=[table], help="analytic constants table")
     c.add_argument("--k", type=int, help="also print rho_k and a_k")
+    c.add_argument("--sieve-bound", dest="sieve_bound",
+                   type=_int_at_least("--sieve-bound", 10_000),
+                   help="also print the prime sums from a sieve up to this bound")
     c.set_defaults(fn=_cmd_constants)
 
-    a = sub.add_parser("approx", parents=[common],
+    a = sub.add_parser("approx", parents=[table],
                        help="estimate of K at a signature, against exact K")
     a.add_argument("--signature", type=str, required=True)
     a.set_defaults(fn=_cmd_approx)
 
-    r = sub.add_parser("ratio-scan", parents=[common],
+    r = sub.add_parser("ratio-scan", parents=[table],
                        help="extremes of K/estimate per signature weight")
-    r.add_argument("--omega-max", dest="omega_max", type=int)
+    r.add_argument("--omega-max", dest="omega_max", type=int, default=12)
     r.set_defaults(fn=_cmd_ratio_scan)
 
-    o = sub.add_parser("optimum", parents=[common], help="closed-form maximizer of F")
+    o = sub.add_parser("optimum", parents=[table], help="closed-form maximizer of F")
     o.add_argument("--k", type=int, required=True)
     o.add_argument("--A", dest="budget", type=float, required=True)
     o.set_defaults(fn=_cmd_optimum)
 
-    w = sub.add_parser("witness", parents=[common],
+    w = sub.add_parser("witness", parents=[table],
                        help="integer witness m with log K(m): exact, or the fitted "
                             "lower sandwich unit (C3' = 1), not a proven bound")
-    w.add_argument("--log-n", dest="log_n", type=str, required=True,
+    w.add_argument("--log-n", dest="log_n", type=_log_n_list, required=True,
                    help="budget log n, or a comma list for a sweep table")
-    w.add_argument("--kappa", type=float)
+    w.add_argument("--kappa", type=float, default=op.KAPPA)
     w.set_defaults(fn=_cmd_witness)
 
-    d = sub.add_parser("deficit", parents=[common], help="penalty below the optimum")
+    d = sub.add_parser("deficit", parents=[table], help="penalty below the optimum")
     d.add_argument("--signature", type=str, required=True)
     d.add_argument("--A", dest="budget", type=float, required=True)
     d.add_argument("--k", type=int)
     d.set_defaults(fn=_cmd_deficit)
 
-    h = sub.add_parser("champions", parents=[common], help="champion enumeration")
+    h = sub.add_parser("champions", parents=[table], help="champion enumeration")
     h.add_argument("--x", type=str, required=True, help="enumeration bound (decimal)")
     h.add_argument("--table", choices=("plain", "fig2"), default="plain",
                    help="fig2 adds the K factorization column")
     h.add_argument("--census", action="store_true")
     h.add_argument("--stats", action="store_true")
     h.add_argument("--cache", dest="cache_path", type=str,
-                   help=f"census cache file (also ${ENV_CACHE})")
+                   default=os.environ.get(ENV_CACHE) or None,
+                   help=f"census cache file (default ${ENV_CACHE})")
     h.set_defaults(fn=_cmd_champions)
 
-    v = sub.add_parser("verify", parents=[common], help="run the invariant suite")
+    v = sub.add_parser("verify", help="run the invariant suite")
     v.add_argument("--fast", action="store_true", help="shrink the random harnesses")
     v.set_defaults(fn=_cmd_verify)
     return top
@@ -444,8 +438,7 @@ def dispatch(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        cfg = _config(args)
-        return args.fn(args, cfg, sys.stdout)
+        return args.fn(args, sys.stdout)
     except ResourceLimitError as e:
         print(f"resource error: {e}", file=sys.stderr)
         return 2

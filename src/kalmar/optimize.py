@@ -37,6 +37,7 @@ __all__ = [
     "witness_m",
 ]
 
+KAPPA = 1.5                 # the default kappa of choose_k, witness_m and --kappa
 DIVISOR_MAX_K = 40          # largest_divisor_leq: two halves of 2^20 products
 WITNESS_EXACT_OMEGA = 60    # witness_m: exact K(m) up to this Omega(m)
 
@@ -146,7 +147,7 @@ class ChosenK(NamedTuple):
     clamped: bool   # the floor formula gave < 2 and was raised to 2
 
 
-def choose_k(log_n: float, kappa: float = 1.5) -> ChosenK:
+def choose_k(log_n: float, kappa: float = KAPPA) -> ChosenK:
     """k = floor(kappa (log n)^(1/rho) / log log n), clamped up to 2.
 
     kappa must stay below kappa_max = rho a^(1/rho); above it the last
@@ -214,7 +215,7 @@ class WitnessResult(NamedTuple):
     exact: bool                     # True when log_k_lower is exact log K(m)
 
 
-def witness_m(log_n: float, kappa: float = 1.5) -> WitnessResult:
+def witness_m(log_n: float, kappa: float = KAPPA) -> WitnessResult:
     """Round the optimum to an integer witness m with 1 <= n/m < 2.
 
     m0 = prod p_i^floor(x_i*); d is the largest divisor of p_1...p_k below
@@ -226,11 +227,9 @@ def witness_m(log_n: float, kappa: float = 1.5) -> WitnessResult:
     estimate and not a proven bound.
     """
     k, _ = choose_k(log_n, kappa)
-    rho_k = solve_rho(k)
-    a_k = lagrange_scale(k)
+    x_star = optimum(k, log_n).x_star
     primes = first_primes(k)
     logs = [math.log(p) for p in primes]
-    x_star = tuple(a_k * log_n / (math.exp(rho_k * lp) - 1.0) for lp in logs)
     if x_star[-1] <= 1.0:
         raise PreconditionError(
             f"x_k* = {x_star[-1]:.4f} <= 1 at log n = {log_n}; "

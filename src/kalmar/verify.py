@@ -134,7 +134,10 @@ def check_eulerian(n_max: int = 120) -> CheckResult:
 
 def check_growth_laws(n_max: int = 100_000) -> CheckResult:
     """K(2n) > K(n), 2 K(n) <= n^rho, log K(n) <= rho log n, all n in range;
-    also reports the positive envelope of rho log n - log K(n)."""
+    also reports the positive envelope of rho log n - log K(n): the minimum
+    over 16 <= n <= n_max of D(n) = (rho log n - log K(n)) log log n /
+    (log n)^(1/rho), printed as "c5' >= ...".  It is a sampled minimum, not
+    a proven constant C5 of the upper bound for all n."""
     rho = cn.solve_rho()
     sigs = _sig_table(2 * n_max)
     ktab = _k_by_sig(sigs)

@@ -315,6 +315,16 @@ def test_cache_roundtrip(tmp_path):
     assert ch.load_candidates(path, 34560) is None         # stale version
 
 
+def test_cache_directory_refused_before_writing(tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(ch, "open", lambda *a, **kw: opened.append(a), raising=False)
+    count, recs = ch.candidate_census(ch.enumerate_candidates(100))
+    with pytest.raises(IsADirectoryError) as err:
+        ch.save_candidates(str(tmp_path), 100, count, recs)
+    assert err.value.filename == str(tmp_path)
+    assert opened == [] and list(tmp_path.iterdir()) == []
+
+
 def test_corrupt_cache_is_stale(tmp_path):
     path = str(tmp_path / "census.txt")
     count, recs = ch.candidate_census(ch.enumerate_candidates(34560))

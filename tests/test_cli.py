@@ -141,6 +141,7 @@ def test_unwritable_cache_still_prints(tmp_path):
         cp = run_cli("champions", "--x", "1000", "--census", "--cache", str(path))
         assert cp.returncode == 0, cp.stderr
         assert f"could not save census to {path}: " in cp.stderr
+        assert ".tmp" not in cp.stderr, cp.stderr
         assert cp.stdout == plain.stdout
     assert not list(tmp_path.rglob("*.tmp"))
 
@@ -190,6 +191,34 @@ def test_exit_codes():
     for digits in ("0", "-3"):
         cp = run_cli("constants", "--digits", digits)
         assert cp.returncode == 1 and "--digits must be >= 1" in cp.stderr, cp.stderr
+
+
+def test_options_only_where_read():
+    # --format and --digits go on the subcommands that print reals,
+    # --sieve-bound on constants only
+    for argv in (("k", "--n", "12", "--digits", "3"),
+                 ("k", "--n", "12", "--format", "csv"),
+                 ("verify", "--fast", "--format", "csv"),
+                 ("champions", "--x", "100", "--sieve-bound", "20000"),
+                 ("approx", "--signature", "1", "--sieve-bound", "20000")):
+        cp = run_cli(*argv)
+        assert cp.returncode == 1 and cp.stdout == "", argv
+        assert "unrecognized arguments" in cp.stderr, cp.stderr
+
+
+def test_sieve_bound_env_var_ignored():
+    cp = run_cli("k", "--n", "12", env={"KALMAR_SIEVE_BOUND": "5"})
+    assert cp.returncode == 0 and cp.stdout == "8\n", cp.stderr
+    plain = run_cli("constants")
+    cp = run_cli("constants", env={"KALMAR_SIEVE_BOUND": "100000"})
+    assert cp.returncode == 0 and cp.stdout == plain.stdout
+
+
+def test_witness_list_entries():
+    for log_n in ("50,,100", "50,x", "50,", ",50"):
+        cp = run_cli("witness", "--log-n", log_n)
+        assert cp.returncode == 1 and cp.stdout == "", log_n
+        assert "every entry must be a number" in cp.stderr, cp.stderr
 
 
 def test_non_finite_input_exit_1():
