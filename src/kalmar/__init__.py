@@ -1,63 +1,10 @@
 """Exact and asymptotic workbench for the Kalmar ordered-factorization
 function K(n): three independent exact methods, the analytic constants and
 the Evans-style estimate, the closed-form budget optimization with its
-witness construction, and K-champion enumeration."""
+witness construction, and K-champion enumeration.
+
+The package itself defines only __version__.  Import each name from its
+module (from kalmar.champions import census, or from kalmar import exact as
+ex); importing one module loads only the modules it uses."""
 
 __version__ = "0.1.0"
-
-from .constants import (          # noqa: E402,F401
-    ConstantsTable,
-    TruncatedConstants,
-    gap_report,
-    lagrange_scale,
-    model_constants,
-    nth_prime,
-    prime_zeta,
-    solve_rho,
-    truncated_constants,
-    zeta,
-    zeta_truncated,
-)
-from .exact import (              # noqa: E402,F401
-    canonical_signature,
-    eulerian_checksum,
-    kalmar_macmahon,
-    kalmar_recursive,
-    kalmar_series_bounds,
-    kp_multinomial,
-    signature_of,
-    tau_r,
-)
-from .evans import (              # noqa: E402,F401
-    EvansEstimate,
-    evans_estimate,
-    f_of,
-    grad_c,
-    grad_f,
-    hessian_form,
-    ratio_scan,
-    solve_c,
-    stirling_s,
-    t_of,
-)
-from .optimize import (           # noqa: E402,F401
-    ChosenK,
-    DeficitReport,
-    OptimumPoint,
-    WitnessResult,
-    choose_k,
-    deficit_check,
-    largest_divisor_leq,
-    optimum,
-    witness_m,
-)
-from .champions import (          # noqa: E402,F401
-    Candidate,
-    CensusResult,
-    ChampionRecord,
-    census,
-    champion_stats,
-    enumerate_candidates,
-    find_champions,
-    verify_champion_laws,
-)

@@ -29,13 +29,15 @@ import errno
 import math
 import os
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import __version__
-from .constants import ConstantsTable
 from .errors import DomainError, ResourceLimitError
 from .exact import kalmar_macmahon, kalmar_tail, tau_star_column
 from .primes import first_primes
+
+if TYPE_CHECKING:
+    from .constants import ConstantsTable
 
 __all__ = [
     "Candidate",
@@ -297,8 +299,8 @@ def champion_stats(rec: ChampionRecord, tab: ConstantsTable) -> ChampionDiagnost
     scale = log_n ** tab.delta
     primes = first_primes(len(sig))
     exp_resid = tuple(
-        (a - tab.a / (p ** tab.rho - 1.0) * log_n) * math.log(p) / scale
-        for a, p in zip(sig, primes)
+        (a - beta * log_n) * math.log(p) / scale
+        for a, p, beta in zip(sig, primes, tab.beta_profile(len(sig)))
     )
     p_ratios = tuple(
         (j, pj / (tab.a * log_n / j) ** (1.0 / tab.rho))
@@ -411,17 +413,17 @@ def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | Non
         return None
     primes = _admissible_primes(x)
     records: list[ChampionRecord] = []
-    prev_n = prev_k = 0
+    prev_n = 0
     for sig, n, k in rows:
-        if not (prev_n < n <= x and prev_k < k and len(sig) <= len(primes)
-                and (prev_n < 2 or n <= 2 * prev_n)
-                and all(a >= b >= 1 for a, b in zip(sig, sig[1:] + (1,)))
+        if not (prev_n < n <= x and len(sig) <= len(primes)
+                and min(sig, default=1) >= 1
                 and sum(sig) < n.bit_length()       # 2^Omega <= N
                 and n == math.prod(map(pow, primes, sig))
                 and k == kalmar_macmahon(sig)):
             return None
-        prev_n, prev_k = n, k
+        prev_n = n
         records.append(_record(len(records) + 1, Candidate(sig, n, k), primes))
-    if max(2 * prev_n, 4) <= x:         # the next record, 2 N_last or 4, is <= x
+    # the next record, 2 N_last or 4, must lie above x, and the laws must hold
+    if max(2 * prev_n, 4) <= x or not verify_champion_laws(records).ok:
         return None
     return count, records

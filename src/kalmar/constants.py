@@ -40,7 +40,6 @@ __all__ = [
     "gap_report",
     "prime_sum_check",
     "rho_gap_coefficient",
-    "nth_prime",
 ]
 
 INFINITE = "infinite"

@@ -237,7 +237,9 @@ def witness_m(log_n: float, kappa: float = KAPPA) -> WitnessResult:
         )
     floors = [int(x) for x in x_star]
     m0_log = math.fsum(f * lp for f, lp in zip(floors, logs))
-    d = largest_divisor_leq(k, math.exp(log_n - m0_log))
+    # log(n/m0) < log p_1...p_k <= 157.1 for k <= DIVISOR_MAX_K; the clamp only
+    # keeps exp from overflowing at a larger k, which largest_divisor_leq refuses
+    d = largest_divisor_leq(k, math.exp(min(log_n - m0_log, 709.0)))
     exps = tuple(f + (1 if d % p == 0 else 0) for f, p in zip(floors, primes))
     m_log = math.fsum(e * lp for e, lp in zip(exps, logs))
     ratio = math.exp(log_n - m_log)

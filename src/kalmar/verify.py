@@ -321,7 +321,14 @@ def fit_sandwich_constants(n_max: int = 100_000) -> tuple[float, float, list]:
 
 def check_sandwich(n_max: int = 100_000) -> CheckResult:
     """exp(F)/(e^k sqrt(prod a)) and exp(F)/pi^(k/2) bracket K with fitted
-    constants over every signature realized below n_max."""
+    constants over every signature realized below n_max.
+
+    The violations are counted over the same signatures that C3' and C4' are
+    fitted on, so violations=0 holds by construction and says nothing about
+    n above n_max.  The fit's one test out of sample is in
+    check_witness_sweep: constants fitted at n <= 10^4 must bracket the exact
+    K of the witness, which the default sweep computes only at log n = 50
+    (Omega <= WITNESS_EXACT_OMEGA)."""
     c3, c4, points = fit_sandwich_constants(n_max)
     violations = sum(
         not math.log(c3) + lo_u - 1e-9 <= logk <= math.log(c4) + hi_u + 1e-9

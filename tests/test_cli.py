@@ -6,6 +6,8 @@ import sys
 import time
 import zlib
 
+import pytest
+
 from kalmar.cli import split_csv_row
 
 
@@ -255,6 +257,30 @@ def test_import_contract():
     assert {f"kalmar.{m}" for m in layers} <= loaded, loaded
 
 
+_EVANS = {"errors", "primes", "exact", "constants", "evans"}
+_ALL = _EVANS | {"optimize", "champions", "verify"}
+
+
+@pytest.mark.parametrize("module, closure", [
+    ("kalmar", set()),
+    ("kalmar.exact", {"errors", "primes", "exact"}),
+    ("kalmar.constants", {"errors", "primes", "constants"}),
+    ("kalmar.evans", _EVANS),
+    ("kalmar.optimize", _EVANS | {"optimize"}),
+    ("kalmar.champions", {"errors", "primes", "exact", "champions"}),
+    ("kalmar.verify", _ALL),
+    ("kalmar.cli", _ALL | {"cli"}),
+])
+def test_import_closure(module, closure):
+    # imported first in a fresh interpreter, a module loads exactly the
+    # kalmar modules it uses, so a hidden import cycle shows here
+    code = (f"import sys, {module}; "
+            "print(' '.join(m for m in sys.modules if m.startswith('kalmar.')))")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert set(cp.stdout.split()) == {f"kalmar.{m}" for m in closure}
+
+
 def test_golden_default_output():
     # default 12-digit stdout, pinned byte for byte
     with open(os.path.join(os.path.dirname(__file__), "golden_cli.txt")) as fh:
@@ -279,6 +305,9 @@ def test_resource_limits_exit_2():
     assert cp.returncode == 2 and "exceeds configured capacity" in cp.stderr
     cp = run_cli("witness", "--log-n", "1e5")                 # k above the divisor cap
     assert cp.returncode == 2 and "cap 40" in cp.stderr, cp.stderr
+    cp = run_cli("witness", "--log-n", "1e6")     # k = 321: n/m0 would overflow exp
+    assert cp.returncode == 2 and "cap 40" in cp.stderr, cp.stderr
+    assert "Traceback" not in cp.stderr, cp.stderr
     for argv in (("k", "--signature", "1000000"), ("approx", "--signature", "200000")):
         t0 = time.monotonic()
         cp = subprocess.run([sys.executable, "-m", "kalmar", *argv],
