@@ -30,7 +30,7 @@ from . import evans as ev
 from . import exact as ex
 from . import optimize as op
 from . import verify as vf
-from .errors import DomainError, KalmarError, ResourceLimitError
+from .errors import DomainError, KalmarError, PreconditionError, ResourceLimitError
 from .primes import factorize, is_prime
 
 ENV_CACHE = "KALMAR_CACHE"
@@ -46,11 +46,6 @@ def fmt_signature(sig) -> str:
     return "[" + ",".join(str(a) for a in sig) + "]"
 
 
-def parse_signature(text: str) -> tuple[int, ...]:
-    text = text.strip().strip("[]")
-    if not text:
-        return ()
-    return ex.canonical_signature(int(t) for t in text.split(","))
 
 
 def split_csv_row(line: str) -> list[str]:
@@ -103,7 +98,7 @@ def _emit_pairs(pairs: list[tuple[str, str]], args, out) -> None:
 def _cmd_k(args, out) -> int:
     if (args.n is None) == (args.signature is None):
         raise DomainError("give exactly one of --n or --signature")
-    sig = ex.signature_of(args.n) if args.n is not None else parse_signature(args.signature)
+    sig = ex.signature_of(args.n) if args.n is not None else args.signature
     methods = {
         "macmahon": ex.kalmar_macmahon,
         "recursive": ex.kalmar_recursive,
@@ -147,7 +142,7 @@ def _cmd_constants(args, out) -> int:
 
 
 def _cmd_approx(args, out) -> int:
-    sig = parse_signature(args.signature)
+    sig = args.signature
     if not sig:
         raise DomainError("the estimate needs a non-empty signature")
     est = ev.evans_estimate([float(a) for a in sig])
@@ -224,7 +219,7 @@ def _cmd_witness(args, out) -> int:
 
 
 def _cmd_deficit(args, out) -> int:
-    sig = parse_signature(args.signature)
+    sig = args.signature
     k = args.k if args.k is not None else len(sig)
     rep = op.deficit_check([float(a) for a in sig], k, args.budget)
     d = args.digits
@@ -356,6 +351,22 @@ def _log_n_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"every entry must be a number, got {text!r}")
 
 
+def _signature(text: str) -> tuple[int, ...]:
+    """argparse type: exponents as a comma list, e.g. 8,3,1 or [8,3,1],
+    every entry an integer; the canonical signature, zeros dropped."""
+    entries = text.strip().strip("[]")
+    if not entries:
+        return ()
+    try:
+        exponents = [int(t) for t in entries.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"every entry must be an integer, got {text!r}")
+    try:
+        return ex.canonical_signature(exponents)
+    except PreconditionError as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="kalmar",
                   description="Workbench for the Kalmar ordered-factorization "
@@ -369,7 +380,7 @@ def build_parser() -> _Parser:
 
     k = sub.add_parser("k", help="exact K(n)")
     k.add_argument("--n", type=int)
-    k.add_argument("--signature", type=str, help="exponents, e.g. 8,3,1")
+    k.add_argument("--signature", type=_signature, help="exponents, e.g. 8,3,1")
     k.add_argument("--method", choices=("macmahon", "recursive", "series"),
                    default="macmahon")
     k.add_argument("--check", action="store_true", help="run all methods and compare")
@@ -384,7 +395,7 @@ def build_parser() -> _Parser:
 
     a = sub.add_parser("approx", parents=[table],
                        help="estimate of K at a signature, against exact K")
-    a.add_argument("--signature", type=str, required=True)
+    a.add_argument("--signature", type=_signature, required=True)
     a.set_defaults(fn=_cmd_approx)
 
     r = sub.add_parser("ratio-scan", parents=[table],
@@ -406,7 +417,7 @@ def build_parser() -> _Parser:
     w.set_defaults(fn=_cmd_witness)
 
     d = sub.add_parser("deficit", parents=[table], help="penalty below the optimum")
-    d.add_argument("--signature", type=str, required=True)
+    d.add_argument("--signature", type=_signature, required=True)
     d.add_argument("--A", dest="budget", type=float, required=True)
     d.add_argument("--k", type=int)
     d.set_defaults(fn=_cmd_deficit)

@@ -2,11 +2,14 @@
 
 import gc
 import hashlib
+import inspect
 import itertools
 import math
 import os
 import random
 import sys
+import threading
+import time
 import tracemalloc
 import zlib
 
@@ -62,16 +65,160 @@ def test_candidates_match_recursion():
         assert c.k_value == ex.kalmar_recursive(c.signature), c.signature
 
 
-def test_candidate_stream_pinned():
+def force_path(monkeypatch, forked):
+    """Make enumerate_candidates fork its worker at every bound, or never;
+    returns the list of forks it makes."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(ch, "FORK_MIN_BOUND", 1 if forked else math.inf)
+    monkeypatch.setattr(ch, "_cpus", lambda: 2 if forked else 1)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_candidate_stream_pinned(monkeypatch):
     # the (signature, N, K) stream in DFS order, as the per-candidate kernel
-    # produced it before heads and 1-tails were evaluated together
-    h = hashlib.sha256()
-    count = 0
-    for c in ch.enumerate_candidates(10**18):
-        h.update(f"{','.join(map(str, c.signature))};{c.value};{c.k_value}\n".encode())
-        count += 1
-    assert count == 32749
-    assert h.hexdigest() == "d055ce92a1ff7d681a23d782a93fb9e7380069d1a4911c4c5855916d05adc44d"
+    # produced it before heads and 1-tails were evaluated together, on the
+    # serial path and with the forked worker
+    for forked in (False, True):
+        forks = force_path(monkeypatch, forked)
+        h = hashlib.sha256()
+        count = 0
+        for c in ch.enumerate_candidates(10**18):
+            h.update(f"{','.join(map(str, c.signature))};{c.value};{c.k_value}\n".encode())
+            count += 1
+        assert count == 32749
+        assert h.hexdigest() == "d055ce92a1ff7d681a23d782a93fb9e7380069d1a4911c4c5855916d05adc44d"
+        assert len(forks) == forked
+        assert_no_child()
+
+
+def test_forked_stream_equals_serial(monkeypatch):
+    # perfbench/spans.py opens one span per resume of a generator function
+    assert inspect.isgeneratorfunction(ch.enumerate_candidates)
+    x = math.prod(first_primes(16))
+    streams = []
+    for forked in (False, True):
+        forks = force_path(monkeypatch, forked)
+        streams.append(list(ch.enumerate_candidates(x)))
+        assert len(forks) == forked
+    assert streams[0] == streams[1]
+    assert_no_child()
+
+
+def test_fork_selection(monkeypatch):
+    # the worker is forked only from x >= FORK_MIN_BOUND, on two or more
+    # CPUs, in a process that runs one thread; every bound that kalmar
+    # verify enumerates, 10^5 at most, stays serial
+    assert ch.FORK_MIN_BOUND > 10**5
+    forks = force_path(monkeypatch, True)
+    x = 10**12
+    monkeypatch.setattr(ch, "FORK_MIN_BOUND", x + 1)
+    assert len(list(ch.enumerate_candidates(x))) == 4357 and forks == []
+    monkeypatch.setattr(ch, "FORK_MIN_BOUND", x)
+    assert len(list(ch.enumerate_candidates(x))) == 4357 and len(forks) == 1
+    monkeypatch.setattr(ch, "_cpus", lambda: 1)
+    assert len(list(ch.enumerate_candidates(x))) == 4357 and len(forks) == 1
+    monkeypatch.setattr(ch, "_cpus", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(list(ch.enumerate_candidates(x))) == 4357 and len(forks) == 1
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert_no_child()
+
+
+def test_forked_worker_lifecycle(monkeypatch):
+    forks = force_path(monkeypatch, True)
+    x = 10**18
+    gen = ch.enumerate_candidates(x)
+    list(itertools.islice(gen, 40))             # the root's block, then the fork
+    assert len(forks) == 1
+    gen.close()
+    assert_no_child()
+
+    def consume():
+        for i, _ in enumerate(ch.enumerate_candidates(x)):
+            if i == 5000:
+                raise KeyError("consumer")
+
+    with pytest.raises(KeyError):
+        consume()
+    assert_no_child()
+
+    # a kernel that fails only in the worker: an error frame, raised here
+    parent, tail = os.getpid(), ex.kalmar_tail
+
+    def failing_tail(*args):
+        if os.getpid() != parent:
+            raise ArithmeticError("worker kernel")
+        return tail(*args)
+
+    monkeypatch.setattr(ch, "kalmar_tail", failing_tail)
+    with pytest.raises(RuntimeError, match="ArithmeticError: worker kernel"):
+        list(ch.enumerate_candidates(x))
+    assert_no_child()
+
+    def dying_tail(*args):                      # no frame at all
+        if os.getpid() != parent:
+            os._exit(3)
+        return tail(*args)
+
+    monkeypatch.setattr(ch, "kalmar_tail", dying_tail)
+    with pytest.raises(RuntimeError, match="ended without sending"):
+        list(ch.enumerate_candidates(x))
+    assert len(forks) == 4
+    assert_no_child()
+
+
+def ended_child_status(timeout):
+    """Exit status of a child that has ended, left unreaped; None on timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        info = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        if info is not None:
+            return info.si_status
+        time.sleep(0.01)
+    return None
+
+
+def test_forked_worker_limits(monkeypatch):
+    forks = force_path(monkeypatch, True)
+    with pytest.raises(ResourceLimitError):
+        list(ch.enumerate_candidates(10**18, max_candidates=30_000))
+    assert len(forks) == 1
+    assert_no_child()
+    # the worker stops once its own count passes the cap: the caller is
+    # still in its first subtree (31 candidates counted) when the worker,
+    # past 100 in the a_1 = 3 subtree, has ended with status 1
+    gen = ch.enumerate_candidates(10**18, max_candidates=100)
+    next(itertools.islice(gen, 16, None))       # the root's block has 16
+    assert len(forks) == 2
+    assert ended_child_status(30) == 1
+    with pytest.raises(ResourceLimitError):
+        list(gen)
+    assert_no_child()
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)    # the caller walks it all
+    assert len(list(ch.enumerate_candidates(10**12))) == 4357
+    assert_no_child()
 
 
 def test_every_small_bound_against_recursion():

@@ -223,6 +223,22 @@ def test_witness_list_entries():
         assert "every entry must be a number" in cp.stderr, cp.stderr
 
 
+def test_signature_list_entries():
+    # --signature is parsed once, by argparse, on k, approx and deficit
+    for sig in ("2,,1", "2,", ",", "2,x", "3,,1"):
+        for argv in (("k", "--signature", sig), ("approx", "--signature", sig),
+                     ("deficit", "--signature", sig, "--A", "10")):
+            cp = run_cli(*argv)
+            assert cp.returncode == 1 and cp.stdout == "", argv
+            assert f"every entry must be an integer, got '{sig}'" in cp.stderr, cp.stderr
+    cp = run_cli("approx", "--signature", "2,-1")
+    assert cp.returncode == 1 and "entries must be >= 1" in cp.stderr, cp.stderr
+    # zeros are dropped, brackets allowed, as before
+    assert run_cli("k", "--signature", "3,0,2").stdout == run_cli("k", "--signature", "[3,2]").stdout
+    assert "signature     [3,2]\n" in run_cli("approx", "--signature", "0,2,3").stdout
+    assert run_cli("k", "--signature", "").stdout == "1\n"
+
+
 def test_non_finite_input_exit_1():
     for argv in (("optimum", "--k", "3", "--A", "inf"),
                  ("deficit", "--signature", "3,2,1", "--A", "inf"),

@@ -204,6 +204,29 @@ def test_tail_kernel_matches_macmahon():
         ex.kalmar_tail([1] * 8, 0, 4, 15)                # Omega 4 means N >= 16
 
 
+def test_tail_kernel_at_slot_edge():
+    # census-shaped heads, a_1 up to 88 as at X20, with 1-tails up to 24 and
+    # the bound equal to the largest tail member: B = 2 bound.bit_length() is
+    # as narrow as the slot proof allows for that tail
+    primes = first_primes(40)
+    rng = random.Random(19)
+    for _ in range(60):
+        head: tuple[int, ...] = ()
+        if rng.random() < 0.9:
+            a = rng.randint(2, 88)
+            head = (a,)
+            while len(head) < 12 and rng.random() < 0.7:
+                a = rng.randint(2, a)
+                head += (a,)
+        tail = rng.randint(0, 24)
+        members = [head + (1,) * j for j in range(tail + 1)]
+        bound = math.prod(p ** a for p, a in zip(primes, members[-1]))
+        om = sum(head)
+        taus = [ex.tau_r(head, m) for m in range(1, om + tail + 1)]
+        assert ex.kalmar_tail(taus, om, tail, bound) == \
+            [ex.kalmar_macmahon(sig) for sig in members], (head, tail)
+
+
 def test_macmahon_work_guard():
     cap = ex.MACMAHON_MAX_OMEGA
     assert ex.kalmar_macmahon((1,) * 4 + (cap - 4,)) > 0
