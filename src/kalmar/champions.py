@@ -14,12 +14,11 @@ list of them costs about 190 bytes per candidate at X20 (244 with tuple
 signatures).  Only a caller that holds the list sees this; the census
 below streams and is within a megabyte either way.
 
-From x = FORK_MIN_BOUND on, when the process may run on two or more CPUs,
-the enumeration forks one worker that walks every other first-level
-subtree (all candidates with the same a1) and sends each back whole over a
-pipe.  The caller yields them in their place, so the stream, its order
-included, is the one the serial walk gives.  The bounds kalmar verify
-enumerates are far below FORK_MIN_BOUND and stay serial.
+The enumeration is one walk over the first-level subtrees (all candidates
+with the same a1).  From x = FORK_MIN_BOUND on, an optional forked worker
+walks every other one and sends each back whole over a pipe, and the walk
+yields it in its place: the stream, its order included, is the same with
+or without the worker.  The bounds kalmar verify enumerates stay serial.
 
 The census is one streaming pass: it counts the candidates and keeps only
 those whose K exceeds every K seen at a smaller bit length, which every
@@ -38,7 +37,7 @@ import math
 import os
 import sys
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .errors import DomainError, ResourceLimitError
@@ -130,6 +129,9 @@ def _admissible_primes(x: int) -> list[int]:
         k += 1
 
 
+# cap on the candidates of one enumeration; the worker counts its share too
+MAX_CANDIDATES = 20_000_000
+
 # The smallest bound at which enumerate_candidates forks a worker.  Below it
 # the fork and the frames cost about what the worker's half of the walk
 # saves: on a 2-vCPU host, medians of 30 alternating in-process walks were
@@ -145,7 +147,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def enumerate_candidates(x: int, max_candidates: int = 20_000_000) -> Iterator[Candidate]:
+def enumerate_candidates(x: int) -> Iterator[Candidate]:
     """All N <= x of champion form, each once, with exact K; not in N-order.
 
     The order is depth-first pre-order over the prime index.  A node whose
@@ -158,10 +160,12 @@ def enumerate_candidates(x: int, max_candidates: int = 20_000_000) -> Iterator[C
     Omega in its subtree, Omega(head) + max{w : N p_next^w <= x}; a child
     multiplies it by the column C(e+m-1, e) of its new exponent e.
 
-    When x >= FORK_MIN_BOUND, os.fork exists, the process may run on two or
-    more CPUs and it runs one thread, a forked worker walks every other
-    first-level subtree (the candidates with a_1 = 3, 5, 7, ...) and sends
-    each one back whole; the order and the items are the same either way.
+    One loop yields the root's block, then each first-level subtree (the
+    candidates with the same a_1) in turn.  From x = FORK_MIN_BOUND on, a
+    worker may walk every other one (a_1 = 3, 5, 7, ...; see _fork), and
+    the loop takes those whole from it: the items and their order are the
+    same either way.  Past MAX_CANDIDATES candidates it raises
+    ResourceLimitError.
     """
     if x < 1:
         raise DomainError("the bound must be >= 1")
@@ -215,112 +219,98 @@ def enumerate_candidates(x: int, max_candidates: int = 20_000_000) -> Iterator[C
             stack.extend(reversed(heads))
 
     # a head: N, signature, Omega, its parent's tau*, its L
-    root = (1, kind(), 0, [1] * top, top)
-    threading = sys.modules.get("threading")
-    if (x >= FORK_MIN_BOUND and hasattr(os, "fork") and _cpus() >= 2
-            and (threading is None or threading.active_count() == 1)):
-        blocks = _forked_blocks(expand, subtree, root, max_candidates)
-    else:
-        blocks = subtree(root)
+    *block, heads = expand((1, kind(), 0, [1] * top, top))
     count = 0
+    worker = _fork(heads, subtree) if x >= FORK_MIN_BOUND else None
     try:
-        for sigs, values, ks in blocks:
-            count += len(values)
-            if count > max_candidates:
-                raise ResourceLimitError(f"more than {max_candidates} candidates")
-            yield from map(Candidate, sigs, values, ks)
+        for i in range(-1, len(heads)):
+            if i < 0:
+                blocks = [block]
+            elif worker and i % 2:
+                blocks = [_receive(worker[1])]
+            else:
+                blocks = subtree(heads[i])
+            for sigs, values, ks in blocks:
+                count += len(values)
+                if count > MAX_CANDIDATES:
+                    raise ResourceLimitError(f"more than {MAX_CANDIDATES} candidates")
+                yield from map(Candidate, sigs, values, ks)
     finally:
-        blocks.close()
+        if worker:
+            import signal           # only this path needs it; not at import
+            pid, reader = worker
+            reader.close()
+            os.kill(pid, signal.SIGKILL)    # harmless on a worker that has ended
+            os.waitpid(pid, 0)
 
 
-def _forked_blocks(expand, subtree, root, max_candidates: int):
-    """subtree(root)'s blocks in the same order, with the odd-numbered
-    first-level subtrees walked by a forked worker, one frame each.
-
-    The worker ends only through os._exit.  Its frames are length-prefixed
-    marshal dumps: (signatures, N, K) lists for a whole subtree, or
-    (exception name, message) when it fails, which the caller raises again.
-    On every exit the caller closes the pipe, kills the worker and reaps it.
-    """
-    import signal                   # only this path needs it; not at exit
-    sigs, values, ks, heads = expand(root)
-    yield sigs, values, ks
+def _fork(heads: list, subtree) -> tuple[int, BinaryIO] | None:
+    """A worker that walks subtree(h) for h in heads[1::2], as (its pid, a
+    reader of its frames); None where there is no os.fork, the process may
+    run on one CPU only or runs more than one thread, or os.fork fails."""
+    threading = sys.modules.get("threading")
+    if not (hasattr(os, "fork") and _cpus() >= 2
+            and (threading is None or threading.active_count() == 1)):
+        return None
     r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:                 # no process to spare: walk them all here
+    except OSError:                 # no process to spare
         os.close(r)
         os.close(w)
-        for head in heads:
-            yield from subtree(head)
-        return
+        return None
     if pid == 0:
-        _work(r, w, heads[1::2], subtree, max_candidates)
+        _work(r, w, heads[1::2], subtree)
     os.close(w)
-    try:
-        for i, head in enumerate(heads):
-            if i % 2:
-                yield _receive(r)
-            else:
-                yield from subtree(head)
-    finally:
-        os.close(r)
-        os.kill(pid, signal.SIGKILL)    # harmless on a worker that has ended
-        os.waitpid(pid, 0)
+    return pid, os.fdopen(r, "rb")
 
 
-def _work(r: int, w: int, heads: list, subtree, max_candidates: int) -> None:
+def _work(r: int, w: int, heads: list, subtree) -> None:
     """The forked worker: one frame per subtree to w, then os._exit.  It
     never returns into the caller's frames, runs no atexit handler and
-    flushes no inherited buffer."""
+    flushes no inherited buffer.  Its frames are length-prefixed marshal
+    dumps: (signatures, N, K) lists for a whole subtree, or (exception
+    name, message) when it fails, which the caller raises again."""
     code = 1
+    out = None
     try:
         os.close(r)                 # so a write fails once the caller has gone
+        out = os.fdopen(w, "wb")
         count = 0
         for head in heads:
-            sigs: list = []
-            values: list[int] = []
-            ks: list[int] = []
+            sigs, values, ks = [], [], []
             for s, v, k in subtree(head):
                 count += len(v)
-                if count > max_candidates:
-                    raise ResourceLimitError(f"more than {max_candidates} candidates")
+                if count > MAX_CANDIDATES:
+                    raise ResourceLimitError(f"more than {MAX_CANDIDATES} candidates")
                 sigs += s
                 values += v
                 ks += k
-            _send(w, (sigs, values, ks))
+            _send(out, (sigs, values, ks))
         code = 0
     except BaseException as exc:    # any failure, sent for the caller to raise
         try:
-            _send(w, (type(exc).__name__, str(exc)))
+            _send(out, (type(exc).__name__, str(exc)))
         except OSError:             # the caller has gone
             pass
     finally:
         os._exit(code)
 
 
-def _send(fd: int, obj) -> None:
+def _send(out: BinaryIO, obj) -> None:
     data = marshal.dumps(obj)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
+    out.write(len(data).to_bytes(8, "little"))
+    out.write(data)
+    out.flush()
 
 
-def _read(fd: int, n: int) -> bytearray:
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        step = os.readv(fd, [view[got:]])
-        if not step:
-            raise RuntimeError("the candidate worker ended without sending a subtree")
-        got += step
-    return buf
-
-
-def _receive(fd: int) -> tuple:
+def _receive(reader: BinaryIO) -> tuple:
     """The next frame from the worker; an error frame is raised here."""
-    frame = marshal.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+    size = int.from_bytes(reader.read(8), "little")
+    data = reader.read(size)
+    if not size or len(data) < size:
+        raise RuntimeError("the candidate worker ended without sending a subtree")
+    frame = marshal.loads(data)
     if len(frame) == 2:
         name, message = frame
         if name == ResourceLimitError.__name__:

@@ -258,7 +258,7 @@ def _census_with_cache(x: int, path: str | None):
 
 
 def _cmd_champions(args, out) -> int:
-    x = int(args.x)
+    x = args.x
     count, records = _census_with_cache(x, args.cache_path)
     if args.census:
         cen = ch.census_from_records(x, count, records)
@@ -423,7 +423,8 @@ def build_parser() -> _Parser:
     d.set_defaults(fn=_cmd_deficit)
 
     h = sub.add_parser("champions", parents=[table], help="champion enumeration")
-    h.add_argument("--x", type=str, required=True, help="enumeration bound (decimal)")
+    h.add_argument("--x", type=_int_at_least("--x", 1), required=True,
+                   help="enumeration bound (decimal)")
     h.add_argument("--table", choices=("plain", "fig2"), default="plain",
                    help="fig2 adds the K factorization column")
     h.add_argument("--census", action="store_true")

@@ -53,9 +53,9 @@ _BERNOULLI = [
 _B2J = [b / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI)]
 
 
-def _zeta_em(s: float, n_terms: int) -> tuple[float, float]:
+def _zeta_em(s: float) -> tuple[float, float]:
     """Euler-Maclaurin value and derivative of zeta at real s > 1."""
-    n = n_terms
+    n = 64                               # terms summed directly
     val = 1.0
     der = 0.0
     for m in range(2, n):
@@ -92,7 +92,7 @@ def zeta(s: float, want_derivative: bool = False):
         raise DomainError(f"zeta evaluated at s={s}; need s > 1")
     # remainder of the j-sum is below the first omitted term; N=64 leaves it
     # around 1e-40 on (1,4], so float rounding dominates
-    val, der = _zeta_em(s, 64)
+    val, der = _zeta_em(s)
     if want_derivative:
         return val, der
     return val

@@ -254,7 +254,11 @@ class RatioRow(NamedTuple):
     argmax: tuple[int, ...]
 
 
-def ratio_scan(omega_max: int, max_signatures: int = 1_000_000) -> list[RatioRow]:
+# cap on the signatures ratio_scan visits, over all weights together
+RATIO_SCAN_MAX_SIGNATURES = 1_000_000
+
+
+def ratio_scan(omega_max: int) -> list[RatioRow]:
     """Extremes of K / (sqrt(pi) A B) over all signatures of each weight r.
 
     Verifies that the minimum sits at (r) and the maximum at (1, ..., 1)
@@ -268,9 +272,9 @@ def ratio_scan(omega_max: int, max_signatures: int = 1_000_000) -> list[RatioRow
         best = worst = None
         for sig in signatures_with_omega(r):
             seen += 1
-            if seen > max_signatures:
+            if seen > RATIO_SCAN_MAX_SIGNATURES:
                 raise ResourceLimitError(
-                    f"signature count exceeded {max_signatures} at omega = {r}"
+                    f"signature count exceeded {RATIO_SCAN_MAX_SIGNATURES} at omega = {r}"
                 )
             ratio = math.exp(math.log(kalmar_macmahon(sig))
                              - evans_estimate(sig).log_estimate)

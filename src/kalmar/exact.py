@@ -31,7 +31,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import KalmarError, PreconditionError, ResourceLimitError
-from .primes import factorize
+from .primes import _TRIAL_BOUND, factorize, is_prime
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -65,10 +65,16 @@ def canonical_signature(exponents: Iterable[int]) -> Signature:
 
 
 def signature_of(n: int) -> Signature:
-    """Prime signature of a positive integer."""
+    """Prime signature of a positive integer.  factorize returns a cofactor
+    above _TRIAL_BOUND**2 that it cannot split as one part, so such a part
+    that is not prime raises ResourceLimitError; every smaller part is prime."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    return canonical_signature(e for _, e in factorize(n))
+    parts = factorize(n)
+    for p, _ in parts:
+        if p > _TRIAL_BOUND**2 and not is_prime(p):
+            raise ResourceLimitError(f"cannot factor {n}: the cofactor {p} is not prime")
+    return canonical_signature(e for _, e in parts)
 
 
 def tau_star_column(a: int, length: int) -> list[int]:
@@ -156,6 +162,8 @@ MACMAHON_MAX_OMEGA = 4096
 _MEMO: dict[Signature, int] = {(): 1}
 # cap on recursive_steps(sig), a few microseconds a step; Omega <= 12 needs <= 10235
 RECURSIVE_MAX_STEPS = 1_000_000
+# cap on the entries of _MEMO
+RECURSIVE_MAX_MEMO = 4_000_000
 
 
 def recursive_steps(sig: Signature) -> int:
@@ -168,32 +176,32 @@ def recursive_steps(sig: Signature) -> int:
     return sum(g) - 1                         # () is memoized from the start
 
 
-def kalmar_recursive(sig: Iterable[int], max_memo: int = 4_000_000) -> int:
+def kalmar_recursive(sig: Iterable[int]) -> int:
     """Exact K(n) by the divisor recursion, memoized on canonical signatures.
 
     Divisors of the signature are exponent sub-vectors, re-canonicalized; the
     memo key collapses the divisor lattice by permutation symmetry.  Raises
     ResourceLimitError before any work when recursive_steps(sig) exceeds
-    RECURSIVE_MAX_STEPS.
+    RECURSIVE_MAX_STEPS, and when the memo would pass RECURSIVE_MAX_MEMO.
     """
     sig = canonical_signature(sig)
     if sig not in _MEMO and (steps := recursive_steps(sig)) > RECURSIVE_MAX_STEPS:
         raise ResourceLimitError(
             f"divisor recursion needs {steps} steps, cap {RECURSIVE_MAX_STEPS}")
-    return _krec(sig, max_memo)
+    return _krec(sig)
 
 
-def _krec(sig: Signature, cap: int) -> int:
+def _krec(sig: Signature) -> int:
     got = _MEMO.get(sig)
     if got is not None:
         return got
-    if len(_MEMO) >= cap:
-        raise ResourceLimitError(f"recursion memo exceeded {cap} entries")
+    if len(_MEMO) >= RECURSIVE_MAX_MEMO:
+        raise ResourceLimitError(f"recursion memo exceeded {RECURSIVE_MAX_MEMO} entries")
     total = 0
     for sub in product(*(range(a + 1) for a in sig)):
         if sum(sub) == sum(sig):          # sub == sig: the divisor d = 1
             continue
-        total += _krec(canonical_signature(sub), cap)
+        total += _krec(canonical_signature(sub))
     _MEMO[sig] = total
     return total
 

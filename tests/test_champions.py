@@ -36,11 +36,12 @@ def test_candidates_x1():
     assert len(cands) == 1 and cands[0].value == 1
 
 
-def test_candidates_errors():
+def test_candidates_errors(monkeypatch):
     with pytest.raises(DomainError):
         list(ch.enumerate_candidates(0))
+    monkeypatch.setattr(ch, "MAX_CANDIDATES", 10)
     with pytest.raises(ResourceLimitError):
-        list(ch.enumerate_candidates(10**6, max_candidates=10))
+        list(ch.enumerate_candidates(10**6))
 
 
 def test_candidate_values_match_signatures():
@@ -113,6 +114,13 @@ def test_forked_stream_equals_serial(monkeypatch):
         streams.append(list(ch.enumerate_candidates(x)))
         assert len(forks) == forked
     assert streams[0] == streams[1]
+    assert_no_child()
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)    # the caller walks it all
+    assert list(ch.enumerate_candidates(x)) == streams[0]
     assert_no_child()
 
 
@@ -198,26 +206,21 @@ def ended_child_status(timeout):
 
 def test_forked_worker_limits(monkeypatch):
     forks = force_path(monkeypatch, True)
+    monkeypatch.setattr(ch, "MAX_CANDIDATES", 30_000)
     with pytest.raises(ResourceLimitError):
-        list(ch.enumerate_candidates(10**18, max_candidates=30_000))
+        list(ch.enumerate_candidates(10**18))
     assert len(forks) == 1
     assert_no_child()
     # the worker stops once its own count passes the cap: the caller is
     # still in its first subtree (31 candidates counted) when the worker,
     # past 100 in the a_1 = 3 subtree, has ended with status 1
-    gen = ch.enumerate_candidates(10**18, max_candidates=100)
+    monkeypatch.setattr(ch, "MAX_CANDIDATES", 100)
+    gen = ch.enumerate_candidates(10**18)
     next(itertools.islice(gen, 16, None))       # the root's block has 16
     assert len(forks) == 2
     assert ended_child_status(30) == 1
     with pytest.raises(ResourceLimitError):
         list(gen)
-    assert_no_child()
-
-    def no_fork():
-        raise BlockingIOError("no process to spare")
-
-    monkeypatch.setattr(os, "fork", no_fork)    # the caller walks it all
-    assert len(list(ch.enumerate_candidates(10**12))) == 4357
     assert_no_child()
 
 

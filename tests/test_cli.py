@@ -8,6 +8,7 @@ import zlib
 
 import pytest
 
+from kalmar import exact as ex
 from kalmar.cli import split_csv_row
 
 
@@ -23,6 +24,16 @@ def test_k_by_n():
     cp = run_cli("k", "--n", "12")
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == "8"
+    assert run_cli("k", "--n", "1000003").stdout == "1\n"
+    cp = run_cli("k", "--n", str(2**40 * 1000003))
+    assert cp.returncode == 0 and cp.stdout == f"{ex.kalmar_macmahon((40, 1))}\n"
+    # trial division stops at 10^6: a cofactor above 10^12 that is not prime
+    # (1000003 * 1000033, 1000003^2) is refused, not read as a prime
+    for n in ("1000036000099", "1000006000009"):
+        for check in ((), ("--check",)):
+            cp = run_cli("k", "--n", n, *check)
+            assert cp.returncode == 2 and cp.stdout == "", (n, check)
+            assert f"cofactor {n} is not prime" in cp.stderr, cp.stderr
 
 
 def test_k_by_signature_and_methods():
@@ -35,6 +46,7 @@ def test_k_by_signature_and_methods():
 def test_k_check():
     cp = run_cli("k", "--n", "360", "--check")
     assert cp.returncode == 0 and cp.stdout.strip() == "604"
+
 
 
 def test_k_requires_one_input():
@@ -193,6 +205,11 @@ def test_exit_codes():
     for digits in ("0", "-3"):
         cp = run_cli("constants", "--digits", digits)
         assert cp.returncode == 1 and "--digits must be >= 1" in cp.stderr, cp.stderr
+    cp = run_cli("champions", "--x", "1e20", "--census")
+    assert cp.returncode == 1 and cp.stdout == ""
+    assert "--x needs an integer, got '1e20'" in cp.stderr, cp.stderr
+    cp = run_cli("champions", "--x", "0")
+    assert cp.returncode == 1 and cp.stdout == "" and "--x must be >= 1" in cp.stderr, cp.stderr
 
 
 def test_options_only_where_read():

@@ -221,14 +221,15 @@ def test_log_a_matches_direct_product_form():
         assert abs(direct - est.log_a) <= 1e-10 * max(1.0, abs(est.log_a))
 
 
-def test_ratio_scan():
+def test_ratio_scan(monkeypatch):
     rows = ev.ratio_scan(8)
     assert rows[0].argmin == (1,) and rows[0].argmax == (1,)
     assert rows[3].argmin == (4,) and rows[3].argmax == (1, 1, 1, 1)
     for r in rows:
         assert 1.0 < r.min_ratio <= r.max_ratio < 1.09
+    monkeypatch.setattr(ev, "RATIO_SCAN_MAX_SIGNATURES", 50)
     with pytest.raises(ResourceLimitError):
-        ev.ratio_scan(30, max_signatures=50)
+        ev.ratio_scan(30)
     with pytest.raises(DomainError):
         ev.ratio_scan(0)
 

@@ -74,16 +74,18 @@ def test_recursive_examples():
     assert ex.kalmar_recursive((3, 2, 1)) == 604
 
 
-def test_recursive_capacity():
+def test_recursive_capacity(monkeypatch):
+    monkeypatch.setattr(ex, "RECURSIVE_MAX_MEMO", len(ex._MEMO))
     with pytest.raises(ResourceLimitError):
-        ex.kalmar_recursive((30, 29, 28, 27, 26, 25), max_memo=len(ex._MEMO))
+        ex.kalmar_recursive((30, 29, 28, 27, 26, 25))
 
 
-def test_recursive_memo_capacity():
+def test_recursive_memo_capacity(monkeypatch):
     # within the step cap, so only the memo cap can stop it
     assert ex.recursive_steps((9, 9, 9, 9)) <= ex.RECURSIVE_MAX_STEPS
+    monkeypatch.setattr(ex, "RECURSIVE_MAX_MEMO", len(ex._MEMO))
     with pytest.raises(ResourceLimitError, match="memo"):
-        ex.kalmar_recursive((9, 9, 9, 9), max_memo=len(ex._MEMO))
+        ex.kalmar_recursive((9, 9, 9, 9))
 
 
 def test_recursive_work_guard():
