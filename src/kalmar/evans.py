@@ -68,10 +68,10 @@ def solve_c(x: Sequence[float]) -> float:
         return 0.0
     if len(pos) == 1:
         return pos[0]
+    # v/(t+v) written as 1/(1 + t/v) so that t + v cannot overflow near the float limit
     return _newton_left(
-        lambda t: math.fsum(math.log1p(v / t) for v in pos) - LOG2,
-        # v/(t+v) written so that t + v cannot overflow near the float limit
-        lambda t: -math.fsum(1.0 / (1.0 + t / v) for v in pos) / t,
+        lambda t: (math.fsum(math.log1p(v / t) for v in pos) - LOG2,
+                   -math.fsum(1.0 / (1.0 + t / v) for v in pos) / t),
         math.fsum(pos),
     )
 

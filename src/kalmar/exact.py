@@ -158,6 +158,8 @@ def kalmar_macmahon(sig: Iterable[int]) -> int:
 
 # cap on Omega for kalmar_macmahon: a cold (1,)*4000 takes ~2 s, (1,)*8000 ~15 s
 MACMAHON_MAX_OMEGA = 4096
+# cap on Omega for kalmar_series_exact: cost ~ Omega^2.3, and (1,)*933 takes ~12 s
+SERIES_MAX_OMEGA = 1000
 
 _MEMO: dict[Signature, int] = {(): 1}
 # cap on recursive_steps(sig), a few microseconds a step; Omega <= 12 needs <= 10235
@@ -244,9 +246,12 @@ def kalmar_series_bounds(sig: Iterable[int], R: int) -> tuple[Fraction, Fraction
 
 def kalmar_series_exact(sig: Iterable[int]) -> int:
     """K(n) pinned by tightening the series bracket until it holds a single
-    integer; independent of the other two methods."""
+    integer; independent of the other two methods.  Raises
+    ResourceLimitError before any work when Om > SERIES_MAX_OMEGA."""
     sig = canonical_signature(sig)
     om = sum(sig)
+    if om > SERIES_MAX_OMEGA:
+        raise ResourceLimitError(f"Omega = {om} exceeds cap {SERIES_MAX_OMEGA}")
     r = max(2 * om + 16, 64)
     while True:
         lo, hi = kalmar_series_bounds(sig, r)

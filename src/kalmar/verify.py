@@ -29,34 +29,24 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _sig_table(n_max: int) -> list[tuple[int, ...] | None]:
-    """sig[n] = canonical signature of n for 1 <= n <= n_max (spf sieve)."""
+def _sig_codes(n_max: int) -> list[int]:
+    """codes[n] = _sig_code(signature of n) for 1 <= n <= n_max, from a
+    smallest-prime-factor sieve: with p = spf(n) and p^e exactly dividing n,
+    codes[n] = codes[n / p^e] + _sig_code((e,)).  codes[0] is 0 and unused."""
     spf = list(range(n_max + 1))
     for i in range(2, math.isqrt(n_max) + 1):
         if spf[i] == i:
             for j in range(i * i, n_max + 1, i):
                 if spf[j] == j:
                     spf[j] = i
-    sigs: list[tuple[int, ...] | None] = [None] * (n_max + 1)
-    if n_max >= 1:
-        sigs[1] = ()
+    codes = [0] * (n_max + 1)
     for n in range(2, n_max + 1):
-        m = n
-        counts: dict[int, int] = {}
-        while m > 1:
-            p = spf[m]
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-        sigs[n] = tuple(sorted(counts.values(), reverse=True))
-    return sigs
-
-
-def _k_by_sig(sigs) -> dict[tuple[int, ...], int]:
-    table: dict[tuple[int, ...], int] = {}
-    for sig in sigs:
-        if sig is not None and sig not in table:
-            table[sig] = ex.kalmar_macmahon(sig)
-    return table
+        p = spf[n]
+        m, e = n // p, 1
+        while m % p == 0:
+            m, e = m // p, e + 1
+        codes[n] = codes[m] + (1 << 8 * e)
+    return codes
 
 
 # --------------------------------------------------------------------------
@@ -139,12 +129,12 @@ def check_growth_laws(n_max: int = 100_000) -> CheckResult:
     (log n)^(1/rho), printed as "c5' >= ...".  It is a sampled minimum, not
     a proven constant C5 of the upper bound for all n."""
     rho = cn.solve_rho()
-    sigs = _sig_table(2 * n_max)
-    ktab = _k_by_sig(sigs)
+    codes = _sig_codes(2 * n_max)
+    ktab = {code: ex.kalmar_macmahon(_code_sig(code)) for code in set(codes)}
     env_min = float("inf")
     for n in range(2, n_max + 1):
-        kn = ktab[sigs[n]]
-        if ktab[sigs[2 * n]] <= kn:
+        kn = ktab[codes[n]]
+        if ktab[codes[2 * n]] <= kn:
             return CheckResult("growth_laws", False, f"K(2n) <= K(n) at n={n}")
         logk = math.log(kn)
         if logk > rho * math.log(n) - math.log(2.0):
@@ -192,9 +182,8 @@ def _product_codes(n: int, codes: list[int]) -> Iterator[int]:
 
 def check_supermultiplicative(n_max: int = 2000) -> CheckResult:
     """K(n n') >= 2 K(n) K(n') for 2 <= n <= n' <= n_max."""
-    sigs = _sig_table(n_max)
-    codes = [_sig_code(sig or ()) for sig in sigs]
-    ktab = {_sig_code(sig): k for sig, k in _k_by_sig(sigs).items()}
+    codes = _sig_codes(n_max)
+    ktab = {code: ex.kalmar_macmahon(_code_sig(code)) for code in set(codes)}
     k_of = [ktab[code] for code in codes]
     for n in range(2, n_max + 1):
         kn2 = 2 * k_of[n]
@@ -321,7 +310,9 @@ def fit_sandwich_constants(n_max: int = 100_000) -> tuple[float, float, list]:
 
 def check_sandwich(n_max: int = 100_000) -> CheckResult:
     """exp(F)/(e^k sqrt(prod a)) and exp(F)/pi^(k/2) bracket K with fitted
-    constants over every signature realized below n_max.
+    constants over every signature realized below n_max.  The fitted values
+    have closed forms: C3' = e/2, reached only at the signature (1,), and
+    C4' = sqrt(pi)/2, reached at every prime power, where K(p^a) = 2^(a-1).
 
     The violations are counted over the same signatures that C3' and C4' are
     fitted on, so violations=0 holds by construction and says nothing about
@@ -415,11 +406,11 @@ def check_divisor_search(k_max: int = 12) -> CheckResult:
 def check_champion_small_oracle(x: int = 10_000) -> CheckResult:
     """Champions from the structured enumeration equal champions from brute
     force K(n) over every n <= x (via the divisor recursion)."""
-    sigs = _sig_table(x)
+    codes = _sig_codes(x)
     brute: list[tuple[int, int]] = []
     best = -1
     for n in range(1, x + 1):
-        kn = ex.kalmar_recursive(sigs[n])
+        kn = ex.kalmar_recursive(_code_sig(codes[n]))
         if kn > best:
             best = kn
             brute.append((n, kn))

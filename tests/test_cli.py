@@ -349,6 +349,23 @@ def test_resource_limits_exit_2():
         assert time.monotonic() - t0 < 10, argv
 
 
+def test_series_cap_exit_2():
+    for om in (5000, 4096, ex.SERIES_MAX_OMEGA + 1):    # 5000 is above MacMahon's cap too
+        t0 = time.monotonic()
+        cp = subprocess.run(
+            [sys.executable, "-m", "kalmar", "k", "--signature", str(om), "--method", "series"],
+            capture_output=True, text=True, timeout=60)
+        assert cp.returncode == 2 and cp.stdout == "", om
+        assert cp.stderr == f"resource error: Omega = {om} exceeds cap {ex.SERIES_MAX_OMEGA}\n"
+        assert time.monotonic() - t0 < 10, om
+    # MacMahon and the recursion accept this signature; the series refuses it
+    om = ex.SERIES_MAX_OMEGA + 1
+    assert om <= ex.MACMAHON_MAX_OMEGA and ex.recursive_steps((om,)) <= ex.RECURSIVE_MAX_STEPS
+    cp = run_cli("k", "--check", "--signature", str(om))
+    assert cp.returncode == 2 and cp.stdout == "", cp.stderr
+    assert cp.stderr == f"resource error: Omega = {om} exceeds cap {ex.SERIES_MAX_OMEGA}\n"
+
+
 def test_verify_fast():
     cp = run_cli("verify", "--fast")
     assert cp.returncode == 0, cp.stdout + cp.stderr

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from kalmar import constants as cn
+from kalmar import evans as ev
 from kalmar import verify as vf
 from kalmar.errors import ConvergenceError, DomainError, ResourceLimitError
 from kalmar.primes import first_primes, is_prime, iter_primes, nth_prime, sieve_primes
@@ -79,12 +80,34 @@ def test_solve_rho():
 
 
 def test_newton_left_preconditions():
-    assert cn._newton_left(lambda s: 1.0 - s, lambda s: -1.0, 0.0) == 1.0
+    assert cn._newton_left(lambda s: (1.0 - s, -1.0), 0.0) == 1.0
     with pytest.raises(ConvergenceError, match="not left of the root"):
-        cn._newton_left(lambda s: 1.0 - s, lambda s: -1.0, 2.0)
+        cn._newton_left(lambda s: (1.0 - s, -1.0), 2.0)
     # exp(-s) is decreasing and convex with no root: every step moves right
     with pytest.raises(ConvergenceError, match="did not settle"):
-        cn._newton_left(lambda s: math.exp(-s), lambda s: -math.exp(-s), 0.0)
+        cn._newton_left(lambda s: (math.exp(-s), -math.exp(-s)), 0.0)
+
+
+# float.hex of the roots, bit for bit: a change to f, to L_k' or to the
+# summation order of either shows here
+_ROOTS_HEX = {
+    # k: (rho_k, a_k)
+    1: ("0x1.0000000000000p+0", "0x1.71547652b82fep+0"),
+    2: ("0x1.6f6e7334fe351p+0", "0x1.71802615be7c0p+0"),
+    3: ("0x1.90e76c976056bp+0", "0x1.5ce50c53e37dfp+0"),
+    10: ("0x1.b3210a8441f82p+0", "0x1.31440e2637a4ap+0"),
+    100: ("0x1.ba0140796d36dp+0", "0x1.1ce02e6d4ac08p+0"),
+    1000: ("0x1.ba7aaa292147dp+0", "0x1.1a1a39f788930p+0"),
+    cn.INFINITE: ("0x1.ba88a01dd1619p+0", "0x1.199ae95371cefp+0"),
+}
+
+
+def test_roots_bitwise():
+    for k, (rho_hex, a_hex) in _ROOTS_HEX.items():
+        assert (cn.solve_rho(k).hex(), cn.lagrange_scale(k).hex()) == (rho_hex, a_hex), k
+    assert ev.solve_c([1.0, 2.0]).hex() == "0x1.c7e0f66afed07p+1"
+    assert ev.solve_c([0.5, 3.25, 1e-3]).hex() == "0x1.09394854da7eap+2"
+    assert ev.solve_c([0.1 * (i + 1) for i in range(20)]).hex() == "0x1.d9ef26c9ac138p+4"
 
 
 def test_lagrange_scale():

@@ -254,3 +254,15 @@ def test_estimate_tracks_exact_k_at_scale():
         est = ev.evans_estimate([float(a) for a in sig])
         ratio = math.exp(math.log(ex.kalmar_macmahon(sig)) - est.log_estimate)
         assert 1.0 < ratio < 1.05
+
+
+def test_sandwich_closed_forms():
+    # K(p^a) = 2^(a-1) sits at C4' = sqrt(pi)/2 times the upper unit for every
+    # a; K(p) = 1 sits at C3' = e/2 times the lower unit
+    for a in range(1, 61):
+        k = ex.kalmar_macmahon((a,))
+        assert k == 2 ** (a - 1)
+        _, hi_u = ev.sandwich_units((a,))
+        assert math.exp(math.log(k) - hi_u) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12), a
+    lo_u, _ = ev.sandwich_units((1,))
+    assert math.exp(-lo_u) == pytest.approx(math.e / 2, rel=1e-12)

@@ -305,7 +305,7 @@ def test_supermultiplicativity_small():
 
 def test_product_signature_codes():
     # verify's supermultiplicative check gets sig(n m) as code(n a) + code(m/a)
-    codes = [vf._sig_code(sig or ()) for sig in vf._sig_table(200)]
+    codes = vf._sig_codes(200)
     for n in range(2, 201):
         got = [vf._code_sig(code) for code in vf._product_codes(n, codes)]
         assert got == [ex.signature_of(n * m) for m in range(n, 201)], n
