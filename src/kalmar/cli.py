@@ -105,6 +105,8 @@ def _cmd_k(args, out) -> int:
         "series": ex.kalmar_series_exact,
     }
     if args.check:
+        for refuse in (ex.refuse_macmahon, ex.refuse_recursive, ex.refuse_series):
+            refuse(sig)
         values = {name: fn(sig) for name, fn in methods.items()}
         if len(set(values.values())) != 1:
             raise KalmarError(f"methods disagree: {values}")

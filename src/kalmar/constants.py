@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .primes import first_primes, iter_primes, nth_prime
+from .primes import first_primes, iter_primes
 
 __all__ = [
     "ConstantsTable",
@@ -83,20 +83,17 @@ def _zeta_em(s: float) -> tuple[float, float]:
     return val, der
 
 
-def zeta(s: float, want_derivative: bool = False):
+def zeta(s: float) -> float:
     """zeta(s) for real s > 1 by Euler-Maclaurin summation with 64 terms;
-    the remainder is far below float rounding on 1 < s <= 4.
-
-    Returns zeta(s), or (zeta(s), zeta'(s)) when want_derivative is set.
+    the remainder is far below float rounding on 1 < s <= 4.  The value
+    only: solve_rho and lagrange_scale read zeta and zeta' together from
+    _zeta_em, which computes both in one pass.
     """
     if s <= 1.0:
         raise DomainError(f"zeta evaluated at s={s}; need s > 1")
     # remainder of the j-sum is below the first omitted term; N=64 leaves it
     # around 1e-40 on (1,4], so float rounding dominates
-    val, der = _zeta_em(s)
-    if want_derivative:
-        return val, der
-    return val
+    return _zeta_em(s)[0]
 
 
 def zeta_truncated(s: float, k: int) -> float:
@@ -153,7 +150,7 @@ def solve_rho(k: int | str = INFINITE) -> float:
     """
     if k == INFINITE:
         def fg(s):
-            val, der = zeta(s, want_derivative=True)
+            val, der = _zeta_em(s)
             return math.log(val) - LOG2, der / val
         return _newton_left(fg, 1.5)
     if not isinstance(k, int) or k < 1:
@@ -176,8 +173,7 @@ def lagrange_scale(k: int | str = INFINITE) -> float:
     """
     if k == INFINITE:
         rho = solve_rho(INFINITE)
-        _, zp = zeta(rho, want_derivative=True)
-        return -2.0 / zp
+        return -2.0 / _zeta_em(rho)[1]
     return 1.0 / _lk_prime(solve_rho(k), [math.log(p) for p in first_primes(k)])
 
 
@@ -229,12 +225,8 @@ class ConstantsTable(NamedTuple):
     precision: float    # stated absolute error of the entries above; tested
                         # against mpmath, not proven
 
-    def beta(self, i: int) -> float:
-        """beta_i = a / (p_i^rho - 1), 1-based prime index."""
-        return self.a / (nth_prime(i) ** self.rho - 1.0)
-
     def beta_profile(self, k: int) -> tuple[float, ...]:
-        """(beta_1, ..., beta_k)."""
+        """(beta_1, ..., beta_k) with beta_i = a / (p_i^rho - 1)."""
         return tuple(self.a / (p ** self.rho - 1.0) for p in first_primes(k))
 
 

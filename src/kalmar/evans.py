@@ -39,7 +39,6 @@ __all__ = [
     "grad_f",
     "hessian_form",
     "log_stirling_s",
-    "stirling_s",
     "EvansEstimate",
     "evans_estimate",
     "RatioRow",
@@ -77,21 +76,14 @@ def solve_c(x: Sequence[float]) -> float:
 
 
 def log_stirling_s(x: float) -> float:
-    """log of s(x) = Gamma(x+1)/(x^x e^(-x)); s(0) = 1 by the Gamma limit."""
+    """log of the Stirling correction s(x) = Gamma(x+1)/(x^x e^(-x)), which
+    lies between sqrt(2 pi x) and e sqrt(x) for x >= 1; s(0) = 1 by the
+    Gamma limit."""
     if x < 0.0:
         raise DomainError("s(x) needs x >= 0")
     if x == 0.0:
         return 0.0
     return math.lgamma(x + 1.0) - x * math.log(x) + x
-
-
-def stirling_s(x: float) -> float:
-    """Stirling correction s(x), between sqrt(2 pi x) and e sqrt(x) for x >= 1."""
-    return math.exp(log_stirling_s(x))
-
-
-def _exp_or_inf(v: float) -> float:
-    return math.exp(v) if v < 709.0 else math.inf
 
 
 class EvansEstimate(NamedTuple):
@@ -103,12 +95,9 @@ class EvansEstimate(NamedTuple):
     log_estimate: float   # log(sqrt(pi) A B)
 
     @property
-    def a(self) -> float:
-        return _exp_or_inf(self.log_a)
-
-    @property
     def estimate(self) -> float:
-        return _exp_or_inf(self.log_estimate)
+        v = self.log_estimate
+        return math.exp(v) if v < 709.0 else math.inf
 
 
 class EvansPoint(NamedTuple):
@@ -266,16 +255,21 @@ def ratio_scan(omega_max: int) -> list[RatioRow]:
     """
     if omega_max < 1:
         raise DomainError("omega_max must be >= 1")
+    # count the signatures, p(1) + ... + p(omega_max), before any is visited,
+    # by Euler's recurrence p(n) = sum_j (-1)^(j+1) p(n - g) over the
+    # pentagonal numbers g = j(3j -+ 1)/2 <= n; the default cap stops it at r = 49
+    p, seen = [1], 0
+    for r in range(1, omega_max + 1):
+        p.append(sum((1 if j % 2 else -1) * p[r - g] for j in range(1, r + 1)
+                     for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= r))
+        seen += p[r]
+        if seen > RATIO_SCAN_MAX_SIGNATURES:
+            raise ResourceLimitError(
+                f"signature count exceeded {RATIO_SCAN_MAX_SIGNATURES} at omega = {r}")
     rows = []
-    seen = 0
     for r in range(1, omega_max + 1):
         best = worst = None
         for sig in signatures_with_omega(r):
-            seen += 1
-            if seen > RATIO_SCAN_MAX_SIGNATURES:
-                raise ResourceLimitError(
-                    f"signature count exceeded {RATIO_SCAN_MAX_SIGNATURES} at omega = {r}"
-                )
             ratio = math.exp(math.log(kalmar_macmahon(sig))
                              - evans_estimate(sig).log_estimate)
             if best is None or ratio < best[0]:

@@ -146,9 +146,8 @@ def kalmar_macmahon(sig: Iterable[int]) -> int:
     w[m] = 2 w[m+1] + (-1)^(Om-m) C(Om+1, m+1): O(Om) terms, cached per Om.
     Raises ResourceLimitError before any work when Om > MACMAHON_MAX_OMEGA."""
     sig = canonical_signature(sig)
+    refuse_macmahon(sig)
     om = sum(sig)
-    if om > MACMAHON_MAX_OMEGA:
-        raise ResourceLimitError(f"Omega = {om} exceeds cap {MACMAHON_MAX_OMEGA}")
     taus = [1] * om
     for a in set(sig):
         col, c = tau_star_column(a, om), sig.count(a)
@@ -166,6 +165,24 @@ _MEMO: dict[Signature, int] = {(): 1}
 RECURSIVE_MAX_STEPS = 1_000_000
 # cap on the entries of _MEMO
 RECURSIVE_MAX_MEMO = 4_000_000
+
+
+# The up-front refusals of the three methods, one per cap; each takes a
+# canonical signature.  kalmar k --check runs all three before any method.
+def refuse_macmahon(sig: Signature) -> None:
+    if (om := sum(sig)) > MACMAHON_MAX_OMEGA:
+        raise ResourceLimitError(f"Omega = {om} exceeds cap {MACMAHON_MAX_OMEGA}")
+
+
+def refuse_recursive(sig: Signature) -> None:
+    if sig not in _MEMO and (steps := recursive_steps(sig)) > RECURSIVE_MAX_STEPS:
+        raise ResourceLimitError(
+            f"divisor recursion needs {steps} steps, cap {RECURSIVE_MAX_STEPS}")
+
+
+def refuse_series(sig: Signature) -> None:
+    if (om := sum(sig)) > SERIES_MAX_OMEGA:
+        raise ResourceLimitError(f"Omega = {om} exceeds cap {SERIES_MAX_OMEGA}")
 
 
 def recursive_steps(sig: Signature) -> int:
@@ -187,9 +204,7 @@ def kalmar_recursive(sig: Iterable[int]) -> int:
     RECURSIVE_MAX_STEPS, and when the memo would pass RECURSIVE_MAX_MEMO.
     """
     sig = canonical_signature(sig)
-    if sig not in _MEMO and (steps := recursive_steps(sig)) > RECURSIVE_MAX_STEPS:
-        raise ResourceLimitError(
-            f"divisor recursion needs {steps} steps, cap {RECURSIVE_MAX_STEPS}")
+    refuse_recursive(sig)
     return _krec(sig)
 
 
@@ -249,10 +264,8 @@ def kalmar_series_exact(sig: Iterable[int]) -> int:
     integer; independent of the other two methods.  Raises
     ResourceLimitError before any work when Om > SERIES_MAX_OMEGA."""
     sig = canonical_signature(sig)
-    om = sum(sig)
-    if om > SERIES_MAX_OMEGA:
-        raise ResourceLimitError(f"Omega = {om} exceeds cap {SERIES_MAX_OMEGA}")
-    r = max(2 * om + 16, 64)
+    refuse_series(sig)
+    r = max(2 * sum(sig) + 16, 64)
     while True:
         lo, hi = kalmar_series_bounds(sig, r)
         if math.ceil(lo) == math.floor(hi):

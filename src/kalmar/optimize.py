@@ -30,7 +30,6 @@ __all__ = [
     "optimum",
     "DeficitReport",
     "deficit_check",
-    "ChosenK",
     "choose_k",
     "largest_divisor_leq",
     "WitnessResult",
@@ -74,10 +73,8 @@ def optimum(k: int, budget: float) -> OptimumPoint:
     budget_resid = abs(math.fsum(x * lp for x, lp in zip(x_star, logs)) - budget)
     pt = evans_point(x_star)
     c_num, f_num = pt.c, pt.f()
-    grad_resid = max(
-        abs(math.log1p(c_num / x) - rho_k * lp) / (rho_k * lp)
-        for x, lp in zip(x_star, logs)
-    )
+    grad_resid = max(abs(pt.grad_f(i) - rho_k * lp) / (rho_k * lp)
+                     for i, lp in enumerate(logs))
     checks = (
         budget_resid / budget,
         abs(c_num - c_star) / c_star,
@@ -142,13 +139,8 @@ def deficit_check(alpha: Sequence[float], k: int, budget: float) -> DeficitRepor
     )
 
 
-class ChosenK(NamedTuple):
-    k: int
-    clamped: bool   # the floor formula gave < 2 and was raised to 2
-
-
-def choose_k(log_n: float, kappa: float = KAPPA) -> ChosenK:
-    """k = floor(kappa (log n)^(1/rho) / log log n), clamped up to 2.
+def choose_k(log_n: float, kappa: float = KAPPA) -> int:
+    """k = floor(kappa (log n)^(1/rho) / log log n), raised to 2 if smaller.
 
     kappa must stay below kappa_max = rho a^(1/rho); above it the last
     optimum coordinate x_k* eventually drops under 1 and the witness
@@ -159,11 +151,7 @@ def choose_k(log_n: float, kappa: float = KAPPA) -> ChosenK:
         raise DomainError(f"need finite log n > e so that log log n > 1, got {log_n}")
     if not 0.0 < kappa < tab.kappa_max:
         raise DomainError(f"kappa must lie in (0, {tab.kappa_max:.6f}), got {kappa}")
-    raw = kappa * log_n ** (1.0 / tab.rho) / math.log(log_n)
-    k = int(raw)
-    if k < 2:
-        return ChosenK(2, True)
-    return ChosenK(k, False)
+    return max(int(kappa * log_n ** (1.0 / tab.rho) / math.log(log_n)), 2)
 
 
 def largest_divisor_leq(k: int, bound) -> int:
@@ -226,7 +214,7 @@ def witness_m(log_n: float, kappa: float = KAPPA) -> WitnessResult:
     log C3' + unit with C3', which is fitted on small n, taken as 1, so an
     estimate and not a proven bound.
     """
-    k, _ = choose_k(log_n, kappa)
+    k = choose_k(log_n, kappa)
     x_star = optimum(k, log_n).x_star
     primes = first_primes(k)
     logs = [math.log(p) for p in primes]

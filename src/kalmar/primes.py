@@ -1,6 +1,6 @@
 """Prime sieve shared by the whole package.
 
-A single growable Eratosthenes sieve backs nth_prime() and primes_up_to();
+A single growable Eratosthenes sieve backs first_primes() and primes_up_to();
 it is built once per bound and thereafter read-only, so concurrent readers
 are safe.
 """
@@ -97,13 +97,6 @@ def first_primes(k: int) -> list[int]:
             if bound == _sieved_to:
                 raise ResourceLimitError(f"cannot reach {k} primes within sieve capacity")
     return _primes[:k]
-
-
-def nth_prime(k: int) -> int:
-    """The k-th prime, 1-based: nth_prime(1) = 2."""
-    if k < 1:
-        raise ValueError("prime index must be >= 1")
-    return first_primes(k)[k - 1]
 
 
 def is_prime(n: int) -> bool:

@@ -297,30 +297,23 @@ def check_ratio_extremes(omega_max: int = 12) -> CheckResult:
                        f"r <= {omega_max}; ratio at (1) = {r1:.10f}")
 
 
-def fit_sandwich_constants(n_max: int = 100_000) -> tuple[float, float, list]:
-    """Extremal C3' and C4' over every signature realized below n_max, and
-    the fitted points (log K, log lower unit, log upper unit).  C3' and C4'
-    scale different units and are not comparable to each other."""
-    points = [(math.log(c.k_value), *ev.sandwich_units(c.signature))
-              for c in ch.enumerate_candidates(n_max) if c.signature]
-    c3 = min((math.exp(logk - lo_u) for logk, lo_u, _ in points), default=float("inf"))
-    c4 = max((math.exp(logk - hi_u) for logk, _, hi_u in points), default=0.0)
-    return c3, c4, points
-
-
 def check_sandwich(n_max: int = 100_000) -> CheckResult:
     """exp(F)/(e^k sqrt(prod a)) and exp(F)/pi^(k/2) bracket K with fitted
-    constants over every signature realized below n_max.  The fitted values
-    have closed forms: C3' = e/2, reached only at the signature (1,), and
+    constants over every signature realized below n_max: C3' and C4' are the
+    extremes of K over the lower and upper unit (they scale different units
+    and are not comparable to each other).  The fitted values have closed
+    forms: C3' = e/2, reached only at the signature (1,), and
     C4' = sqrt(pi)/2, reached at every prime power, where K(p^a) = 2^(a-1).
 
     The violations are counted over the same signatures that C3' and C4' are
     fitted on, so violations=0 holds by construction and says nothing about
-    n above n_max.  The fit's one test out of sample is in
-    check_witness_sweep: constants fitted at n <= 10^4 must bracket the exact
-    K of the witness, which the default sweep computes only at log n = 50
-    (Omega <= WITNESS_EXACT_OMEGA)."""
-    c3, c4, points = fit_sandwich_constants(n_max)
+    n above n_max.  The closed forms' one test out of sample is in
+    check_witness_sweep: they must bracket the exact K of the witness, which
+    the default sweep computes only at log n = 50 (Omega <= WITNESS_EXACT_OMEGA)."""
+    points = [(math.log(c.k_value), *ev.sandwich_units(c.signature))
+              for c in ch.enumerate_candidates(n_max) if c.signature]
+    c3 = min((math.exp(logk - lo_u) for logk, lo_u, _ in points), default=float("inf"))
+    c4 = max((math.exp(logk - hi_u) for logk, _, hi_u in points), default=0.0)
     violations = sum(
         not math.log(c3) + lo_u - 1e-9 <= logk <= math.log(c4) + hi_u + 1e-9
         for logk, lo_u, hi_u in points)
@@ -359,9 +352,10 @@ def check_deficit(samples: int = 10_000, seed: int = 2029) -> CheckResult:
 def check_witness_sweep(log_ns=tuple(range(50, 1001, 50))) -> CheckResult:
     """Witness construction over the sweep: ratio in [1,2), floor property,
     bounded defect envelope (rho log n - log K)(log log n)/(log n)^(1/rho);
-    wherever K(m) is exact it must sit inside the fitted two-sided bracket."""
+    wherever K(m) is exact it must sit inside the two-sided bracket with the
+    closed-form constants C3' = e/2 and C4' = sqrt(pi)/2."""
     rho = cn.solve_rho()
-    c3, c4, _ = fit_sandwich_constants(10_000)
+    log_c3, log_c4 = math.log(math.e / 2), math.log(math.sqrt(math.pi) / 2)
     env_max = 0.0
     for ln in log_ns:
         w = op.witness_m(float(ln))
@@ -371,9 +365,9 @@ def check_witness_sweep(log_ns=tuple(range(50, 1001, 50))) -> CheckResult:
             return CheckResult("witness_sweep", False, f"ratio {w.ratio_n_over_m} at {ln}")
         if w.exact:
             lo_u, hi_u = ev.sandwich_units(w.exponents)
-            if not math.log(c3) + lo_u <= w.log_k_lower <= math.log(c4) + hi_u:
+            if not log_c3 + lo_u <= w.log_k_lower <= log_c4 + hi_u:
                 return CheckResult("witness_sweep", False,
-                                   f"exact K(m) escapes the fitted bracket at {ln}")
+                                   f"exact K(m) escapes the sandwich bracket at {ln}")
         env = (rho * ln - w.log_k_lower) * math.log(ln) / ln ** (1.0 / rho)
         env_max = max(env_max, env)
     return CheckResult("witness_sweep", True,

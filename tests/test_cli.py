@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, reproducibility."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import zlib
 import pytest
 
 from kalmar import exact as ex
-from kalmar.cli import split_csv_row
+from kalmar.cli import dispatch, split_csv_row
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -314,6 +315,17 @@ def test_import_closure(module, closure):
     assert set(cp.stdout.split()) == {f"kalmar.{m}" for m in closure}
 
 
+@pytest.mark.parametrize("module", ["exact", "constants", "evans", "optimize",
+                                    "champions", "verify"])
+def test_star_import_binds_all(module):
+    # every name a module lists in __all__ exists: a stale entry would make
+    # the star import raise AttributeError
+    namespace = {}
+    exec(f"from kalmar.{module} import *", namespace)
+    listed = importlib.import_module(f"kalmar.{module}").__all__
+    assert all(name in namespace for name in listed)
+
+
 def test_golden_default_output():
     # default 12-digit stdout, pinned byte for byte
     with open(os.path.join(os.path.dirname(__file__), "golden_cli.txt")) as fh:
@@ -349,7 +361,7 @@ def test_resource_limits_exit_2():
         assert time.monotonic() - t0 < 10, argv
 
 
-def test_series_cap_exit_2():
+def test_series_cap_exit_2(monkeypatch, capsys):
     for om in (5000, 4096, ex.SERIES_MAX_OMEGA + 1):    # 5000 is above MacMahon's cap too
         t0 = time.monotonic()
         cp = subprocess.run(
@@ -364,6 +376,17 @@ def test_series_cap_exit_2():
     cp = run_cli("k", "--check", "--signature", str(om))
     assert cp.returncode == 2 and cp.stdout == "", cp.stderr
     assert cp.stderr == f"resource error: Omega = {om} exceeds cap {ex.SERIES_MAX_OMEGA}\n"
+    # --check runs all three refusals before it computes any K
+    def fail(sig):
+        raise AssertionError(f"K computed for {sig}")
+
+    monkeypatch.setattr(ex, "kalmar_macmahon", fail)
+    monkeypatch.setattr(ex, "kalmar_recursive", fail)
+    t0 = time.monotonic()
+    assert dispatch(["k", "--check", "--signature", str(om)]) == 2
+    assert time.monotonic() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"resource error: Omega = {om} exceeds cap {ex.SERIES_MAX_OMEGA}\n"
 
 
 def test_verify_fast():

@@ -9,20 +9,20 @@ from kalmar import constants as cn
 from kalmar import evans as ev
 from kalmar import verify as vf
 from kalmar.errors import ConvergenceError, DomainError, ResourceLimitError
-from kalmar.primes import first_primes, is_prime, iter_primes, nth_prime, sieve_primes
+from kalmar.primes import first_primes, is_prime, iter_primes, sieve_primes
 
 mpmath.mp.dps = 30
 
 
 def test_nth_prime_values():
-    assert nth_prime(1) == 2
-    assert nth_prime(3) == 5
-    assert nth_prime(1000) == 7919
+    assert first_primes(1)[-1] == 2
+    assert first_primes(3)[-1] == 5
+    assert first_primes(1000)[-1] == 7919
 
 
 def test_nth_prime_capacity():
     with pytest.raises(ResourceLimitError):
-        nth_prime(10**9)     # p_k bound ~2.4e10 exceeds the cap before sieving
+        first_primes(10**9)  # p_k bound ~2.4e10 exceeds the cap before sieving
 
 
 def test_sieve_against_trial_division():
@@ -39,7 +39,7 @@ def test_zeta_matches_mpmath():
         s = 1.05 + i * 0.05
         ref = mpmath.zeta(s)
         refd = mpmath.zeta(s, derivative=1)
-        v, d = cn.zeta(s, want_derivative=True)
+        v, d = cn._zeta_em(s)
         assert abs(v - float(ref)) < 1e-13, s
         assert abs(d - float(refd)) < 1e-11, s
 
@@ -170,8 +170,8 @@ def test_model_constants_against_mpmath():
 
 def test_beta_accessor():
     tab = cn.model_constants()
-    assert abs(tab.beta(1) - tab.a / (2**tab.rho - 1)) < 1e-15
-    assert abs(tab.beta(3) - tab.a / (5**tab.rho - 1)) < 1e-15
+    assert abs(tab.beta_profile(1)[-1] - tab.a / (2**tab.rho - 1)) < 1e-15
+    assert abs(tab.beta_profile(3)[-1] - tab.a / (5**tab.rho - 1)) < 1e-15
     prof = tab.beta_profile(50)
     assert len(prof) == 50 and all(x > y for x, y in zip(prof, prof[1:]))
     assert sum(prof) < tab.b

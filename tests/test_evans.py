@@ -150,18 +150,21 @@ def test_hessian_matches_finite_differences():
 
 
 def test_stirling():
-    assert abs(ev.stirling_s(1.0) - math.e) < 1e-14
-    assert abs(ev.stirling_s(2.0) - math.e**2 / 2) < 1e-13
-    assert ev.stirling_s(0.0) == 1.0
+    def stirling(x):
+        return math.exp(ev.log_stirling_s(x))
+
+    assert abs(stirling(1.0) - math.e) < 1e-14
+    assert abs(stirling(2.0) - math.e**2 / 2) < 1e-13
+    assert stirling(0.0) == 1.0
     with pytest.raises(DomainError):
-        ev.stirling_s(-0.1)
+        stirling(-0.1)
     for j in range(1, 40):
-        lhs = ev.stirling_s(j + 1.0) / ev.stirling_s(float(j))
+        lhs = stirling(j + 1.0) / stirling(float(j))
         rhs = math.e * (j / (j + 1)) ** j
         assert abs(lhs - rhs) < 1e-12 * rhs
     for i in range(1, 200):
         x = 1.0 + i * 0.5
-        s = ev.stirling_s(x)
+        s = stirling(x)
         assert math.sqrt(2 * math.pi * x) <= s <= math.e * math.sqrt(x)
 
 
@@ -232,6 +235,17 @@ def test_ratio_scan(monkeypatch):
         ev.ratio_scan(30)
     with pytest.raises(DomainError):
         ev.ratio_scan(0)
+
+
+def test_ratio_scan_refuses_before_any_k(monkeypatch):
+    # sum_{r<=49} p(r) = 1 091 744 signatures pass the cap of 10^6; the count
+    # comes before the scan, so no K is computed
+    def fail(sig):
+        raise AssertionError(f"K computed for {sig}")
+
+    monkeypatch.setattr(ev, "kalmar_macmahon", fail)
+    with pytest.raises(ResourceLimitError):
+        ev.ratio_scan(49)
 
 
 def test_c_of_beta_profile_approaches_a():
