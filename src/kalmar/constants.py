@@ -21,7 +21,8 @@ cross-check (see prime_sum_check).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -109,8 +110,12 @@ def zeta_truncated(s: float, k: int) -> float:
 
 
 def _lk_prime(s: float, logs: list[float]) -> float:
-    """L_k'(s) = sum over the first k primes of log p / (p^s - 1); logs holds their log p."""
-    return sum(lp / (math.exp(s * lp) - 1.0) for lp in logs)
+    """L_k'(s) = sum over the first k primes of log p / (p^s - 1); logs holds
+    their log p.  A left fold: from Python 3.12, sum() of floats compensates."""
+    out = 0.0
+    for lp in logs:
+        out += lp / (math.exp(s * lp) - 1.0)
+    return out
 
 
 # The climb took at most 8 steps on every c, rho and rho_k measured; the
@@ -197,7 +202,7 @@ def prime_zeta(s: float) -> float:
     if s <= 1.0:
         raise DomainError(f"prime_zeta needs s > 1, got {s}")
     if s >= 30.0:
-        return sum(p ** -s for p in (2, 3, 5, 7, 11, 13))
+        return reduce(add, (p ** -s for p in (2, 3, 5, 7, 11, 13)), 0.0)   # left fold, see _lk_prime
     out = 0.0
     d = 1
     while d * s < 60.0:

@@ -62,7 +62,12 @@ def solve_c(x: Sequence[float]) -> float:
     convex in t, from t = Omega, where H >= 0 because c >= Omega.  The
     climb stops when a step no longer moves right (constants._newton_left).
     """
-    pos = [v for v in _checked(x) if v > 0.0]
+    return _solve_checked(_checked(x))
+
+
+def _solve_checked(x: tuple[float, ...]) -> float:
+    """solve_c on a vector that _checked has already converted and scanned."""
+    pos = [v for v in x if v > 0.0]
     if not pos:
         return 0.0
     if len(pos) == 1:
@@ -182,7 +187,7 @@ class EvansPoint(NamedTuple):
 def evans_point(x: Sequence[float]) -> EvansPoint:
     """Check x once, solve for c once and compute T once."""
     x = _checked(x)
-    c = solve_c(x)
+    c = _solve_checked(x)
     if c == 0.0:
         return EvansPoint(x, 0.0, math.nan)
     return EvansPoint(x, c, math.fsum(1.0 / (1.0 + c / v) for v in x if v > 0.0))

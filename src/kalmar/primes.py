@@ -1,85 +1,80 @@
-"""Prime sieve shared by the whole package.
+"""Primes for the whole package from one segmented sieve over the odd numbers.
 
-A single growable Eratosthenes sieve backs first_primes() and primes_up_to();
-it is built once per bound and thereafter read-only, so concurrent readers
-are safe.
+sieve_primes() lists its output, iter_primes() streams it in O(sqrt(limit))
+memory, and first_primes() and primes_up_to() read a shared list that grows
+by sieving past its end into a new list: a list handed out never changes.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator
 
 from .errors import ResourceLimitError
 
 # Hard ceiling for the sieve; raising it is a config decision, not a bug fix.
 MAX_SIEVE = 200_000_000
-_SEGMENT = 1 << 18              # numbers per segment of iter_primes
+_SEGMENT = 1 << 14              # odd numbers per segment, 2^15 integers
 _TRIAL_BOUND = 1_000_000        # largest trial divisor of factorize
 
 _primes: list[int] = []
 _sieved_to: int = 0
 
 
+def _segments(lo: int, limit: int) -> Iterator[list[int]]:
+    """The primes in (lo, limit], one list per segment of _SEGMENT odd
+    numbers, struck out by the odd primes up to isqrt(limit)."""
+    if limit < 2 or limit <= lo:
+        return
+    if lo < 2:
+        yield [2]
+    base = sieve_primes(math.isqrt(limit))[1:]
+    for start in range(max(lo + 1, 3) | 1, limit + 1, 2 * _SEGMENT):
+        size = min(_SEGMENT, (limit - start) // 2 + 1)
+        seg = bytearray(b"\x01") * size           # seg[i] stands for start + 2i
+        hi = start + 2 * size - 2
+        for p in base:
+            if p * p > hi:
+                break
+            # p q with q odd is the first odd multiple of p at or above p^2 and start
+            i = (p * max(p, -(-start // p) | 1) - start) // 2
+            seg[i::p] = bytes(len(range(i, size, p)))
+        yield list(compress(range(start, hi + 1, 2), seg))
+
+
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit by a bytearray Eratosthenes sieve."""
-    if limit < 2:
-        return []
-    bs = bytearray(b"\x01") * (limit + 1)
-    bs[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if bs[p]:
-            start = p * p
-            bs[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, v in enumerate(bs) if v]
+    """All primes <= limit in increasing order."""
+    return list(chain.from_iterable(_segments(0, limit)))
 
 
 def iter_primes(limit: int) -> Iterator[int]:
-    """All primes <= limit in increasing order by a segmented sieve, in
-    O(sqrt(limit)) memory; the shared prime list is left alone.  The
-    capacity check runs at the call, before anything is allocated."""
+    """All primes <= limit in increasing order, streamed; the capacity check
+    runs at the call, before anything is allocated."""
     _check_capacity(limit)
-    return _segmented(limit)
+    return chain.from_iterable(_segments(0, limit))
 
 
 def _check_capacity(limit: int) -> None:
     if limit > MAX_SIEVE:
-        raise ResourceLimitError(
-            f"sieve bound {limit} exceeds configured capacity {MAX_SIEVE}"
-        )
-
-
-def _segmented(limit: int) -> Iterator[int]:
-    base = sieve_primes(math.isqrt(limit))
-    yield from base
-    for lo in range(math.isqrt(limit) + 1, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
-        seg = bytearray(b"\x01") * (hi - lo)
-        for p in base:
-            if p * p >= hi:
-                break
-            start = max(p * p, -(-lo // p) * p) - lo
-            seg[start::p] = bytes((hi - lo - 1 - start) // p + 1)
-        yield from compress(range(lo, hi), seg)
+        raise ResourceLimitError(f"sieve bound {limit} exceeds configured capacity {MAX_SIEVE}")
 
 
 def _ensure_sieved(limit: int) -> None:
+    """Sieve (_sieved_to, limit] onto a copy of the shared list."""
     global _primes, _sieved_to
     if limit <= _sieved_to:
         return
     _check_capacity(limit)
-    _primes = sieve_primes(limit)
+    _primes = [*_primes, *chain.from_iterable(_segments(_sieved_to, limit))]
     _sieved_to = limit
 
 
 def primes_up_to(limit: int) -> list[int]:
     """Sorted list of all primes <= limit (shared cache; do not mutate)."""
     _ensure_sieved(limit)
-    if limit == _sieved_to:
-        return _primes
-    return _primes[: bisect.bisect_right(_primes, limit)]
+    return _primes if limit == _sieved_to else _primes[: bisect.bisect_right(_primes, limit)]
 
 
 def first_primes(k: int) -> list[int]:
@@ -87,15 +82,8 @@ def first_primes(k: int) -> list[int]:
     if k < 0:
         raise ValueError("k must be non-negative")
     if len(_primes) < k:
-        # p_k < k (log k + log log k) for k >= 6
-        bound = 100 if k < 6 else int(k * (math.log(k) + math.log(math.log(k)))) + 10
-        while True:
-            _ensure_sieved(bound)
-            if len(_primes) >= k:
-                break
-            bound = min(bound * 2, MAX_SIEVE)
-            if bound == _sieved_to:
-                raise ResourceLimitError(f"cannot reach {k} primes within sieve capacity")
+        # p_k < k (ln k + ln ln k) for k >= 6 (Rosser 1941), + 1 for rounding; p_5 = 11
+        _ensure_sieved(11 if k < 6 else int(k * (math.log(k) + math.log(math.log(k)))) + 1)
     return _primes[:k]
 
 

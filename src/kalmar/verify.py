@@ -224,7 +224,7 @@ def check_lipschitz(pairs: int = 10_000, seed: int = 2025) -> CheckResult:
         y = [max(0.0, v + rng.uniform(-0.5, 0.5)) for v in x]
         if not any(x) or not any(y):
             continue
-        dist = sum(abs(u - v) for u, v in zip(x, y))
+        dist = math.fsum(abs(u - v) for u, v in zip(x, y))
         px, py = ev.evans_point(x), ev.evans_point(y)
         if abs(py.c - px.c) > 2.0 * dist + 1e-12:
             return CheckResult("lipschitz", False, f"c bound fails: {x} {y}")

@@ -1,5 +1,6 @@
 """Constants module against independent oracles (mpmath, sieve sums)."""
 
+import bisect
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 
 from kalmar import constants as cn
 from kalmar import evans as ev
+from kalmar import primes
 from kalmar import verify as vf
 from kalmar.errors import ConvergenceError, DomainError, ResourceLimitError
 from kalmar.primes import first_primes, is_prime, iter_primes, sieve_primes
@@ -27,6 +29,41 @@ def test_nth_prime_capacity():
 
 def test_sieve_against_trial_division():
     assert sieve_primes(100) == [n for n in range(2, 101) if is_prime(n)]
+
+
+def test_sieve_views_against_is_prime():
+    # Miller-Rabin shares no code with the sieve; the limits sit at every
+    # bound up to 200, around segment edges and around squares of odd primes
+    seg = 2 * primes._SEGMENT                  # integers per segment
+    limits = [*range(201),
+              *(k * seg + d for k in (1, 2, 3) for d in range(-1, 4)),
+              *(p * p + d for p in (3, 5, 7, 11, 101, 181, 307) for d in (-1, 0, 1))]
+    want = [n for n in range(max(limits) + 1) if is_prime(n)]
+    for b in limits:
+        upto = want[: bisect.bisect_right(want, b)]
+        assert sieve_primes(b) == upto, b
+        assert list(iter_primes(b)) == upto, b
+    assert max(limits) > 3 * seg                 # the last range spans four segments
+
+
+def test_prime_cache_growth(monkeypatch):
+    monkeypatch.setattr(primes, "_primes", [])  # start from an empty cache
+    monkeypatch.setattr(primes, "_sieved_to", 0)
+    ref = sieve_primes(120_000)                 # p_10000 = 104729
+
+    def upto(b):
+        return ref[: bisect.bisect_right(ref, b)]
+
+    # each bound extends the cache; 1009 and 1013 are the first primes past
+    # an even end (1008) and an odd one (1011)
+    grow = (1, 2, 3, 4, 9, 10, 1000, 1008, 1010, 1011, 1013, 32_771, 32_772, 70_000)
+    held = [primes.primes_up_to(b) for b in grow]
+    for k in (1, 5, 6, 7, 100, 2000, 10_000, 50, 3, 0):    # growing, then shrinking
+        assert first_primes(k) == ref[:k], k
+    for b in (120_000, 1013, 5, 0):
+        assert primes.primes_up_to(b) == upto(b), b
+    for b, got in zip(grow, held):              # lists handed out never change
+        assert got == upto(b), b
 
 
 def test_zeta_closed_forms():
@@ -146,7 +183,7 @@ def test_sieve_sums_stream_bit_identical():
         "b_sum": (b_sum + weighted, weighted * cor),
         "T0": (t0 + weighted, weighted * cor),
     }
-    assert list(iter_primes(bound)) == sieve_primes(bound)   # spans 4 segments
+    assert list(iter_primes(bound)) == sieve_primes(bound)   # spans 31 segments
     for small in (0, 1, 2, 3, 4, 10, 97, 10007):
         assert list(iter_primes(small)) == sieve_primes(small)
     with pytest.raises(ResourceLimitError, match="capacity"):

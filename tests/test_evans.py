@@ -55,8 +55,8 @@ def test_evans_point():
 
 def test_checks_solve_once_per_point(monkeypatch):
     solved = []
-    solve_c = ev.solve_c
-    monkeypatch.setattr(ev, "solve_c", lambda x: solved.append(tuple(x)) or solve_c(x))
+    solve = ev._solve_checked               # behind both solve_c and evans_point
+    monkeypatch.setattr(ev, "_solve_checked", lambda x: solved.append(x) or solve(x))
     for check in (lambda: vf.check_gradients(points=20), lambda: vf.check_lipschitz(pairs=50)):
         solved.clear()
         assert check().ok
