@@ -8,11 +8,11 @@ Every candidate is a head (N = 1, or last exponent >= 2) followed by j >= 0
 exponents 1 on the next primes, its 1-tail; one packed sum gives K for a
 head and its whole 1-tail (exact.kalmar_tail, whose slots are 2 bits(X)
 wide because K(n) <= n^2).  Champions are the strict running maxima of K
-in N-order.  N = 1 (empty signature, K = 1) is champion rank 1.  A
-Candidate keeps its signature as bytes, one exponent per byte, so a held
-list of them costs about 190 bytes per candidate at X20 (244 with tuple
-signatures).  Only a caller that holds the list sees this; the census
-below streams and is within a megabyte either way.
+in N-order.  N = 1 (empty signature, K = 1) is champion rank 1.  Bounds
+above MAX_BOUND are refused before any work.  A Candidate keeps its
+signature as bytes, one exponent per byte, so a held list costs about 190
+bytes per candidate at X20 (244 with tuple signatures); the census below
+streams and is within a megabyte either way.
 
 The enumeration is one walk over the first-level subtrees (all candidates
 with the same a1).  From x = FORK_MIN_BOUND on, an optional forked worker
@@ -73,18 +73,15 @@ class Candidate:
     candidate, and a tuple of three costs 16 bytes more than three slots.
     The signature is stored as bytes, one exponent per byte: 33 bytes plus
     one per prime, where a tuple costs 40 plus eight per prime, and bytes
-    are not tracked by the garbage collector.  A signature with an exponent
-    of 256 or more stays a tuple.  .signature always reads as a tuple, and
-    equality, hashing and repr are over (signature, value, k_value).
+    are not tracked by the garbage collector.  Every exponent up to
+    MAX_BOUND is below 256.  .signature reads as a tuple, and equality,
+    hashing and repr are over (signature, value, k_value).
     """
 
     __slots__ = ("_sig", "value", "k_value")
 
     def __init__(self, signature: tuple[int, ...] | bytes, value: int, k_value: int) -> None:
-        try:
-            self._sig = bytes(signature)     # a bytes argument is returned as is
-        except ValueError:                   # an exponent >= 256
-            self._sig = tuple(signature)
+        self._sig = bytes(signature)    # a bytes argument is returned as is
         self.value = value          # N = 2^a1 3^a2 ... p_k^ak
         self.k_value = k_value      # K(N)
 
@@ -129,8 +126,9 @@ def _admissible_primes(x: int) -> list[int]:
         k += 1
 
 
-# cap on the candidates of one enumeration; the worker counts its share too
-MAX_CANDIDATES = 20_000_000
+# The largest bound enumerate_candidates accepts: X30, the 30-prime primorial
+# (18 895 821 candidates).  Below it every exponent is at most 154.
+MAX_BOUND = 31610054640417607788145206291543662493274686990
 
 # The smallest bound at which enumerate_candidates forks a worker.  Below it
 # the fork and the frames cost about what the worker's half of the walk
@@ -164,15 +162,15 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
     candidates with the same a_1) in turn.  From x = FORK_MIN_BOUND on, a
     worker may walk every other one (a_1 = 3, 5, 7, ...; see _fork), and
     the loop takes those whole from it: the items and their order are the
-    same either way.  Past MAX_CANDIDATES candidates it raises
-    ResourceLimitError.
+    same either way.  x > MAX_BOUND raises ResourceLimitError up front.
     """
     if x < 1:
         raise DomainError("the bound must be >= 1")
+    if x > MAX_BOUND:
+        raise ResourceLimitError(f"bound {x} exceeds cap {MAX_BOUND}, the 30-prime primorial")
     primes = _admissible_primes(x)
     top = x.bit_length() - 1                  # max{w : 2^w <= x}
-    kind = bytes if top < 256 else tuple      # no exponent reaches 256 below 2^256
-    ones = [kind((1,) * j) for j in range(len(primes) + 1)]
+    ones = [bytes((1,) * j) for j in range(len(primes) + 1)]
     cols: dict[int, list[int]] = {}
 
     def expand(head):
@@ -205,7 +203,7 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
             while q and t <= x:
                 length += 1
                 t *= q
-            heads.append((v, sig + kind((e,)), om + e, taus, length))
+            heads.append((v, sig + bytes((e,)), om + e, taus, length))
             v *= p
             e += 1
         return sigs, values, ks, heads
@@ -219,8 +217,7 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
             stack.extend(reversed(heads))
 
     # a head: N, signature, Omega, its parent's tau*, its L
-    *block, heads = expand((1, kind(), 0, [1] * top, top))
-    count = 0
+    *block, heads = expand((1, b"", 0, [1] * top, top))
     worker = _fork(heads, subtree) if x >= FORK_MIN_BOUND else None
     try:
         for i in range(-1, len(heads)):
@@ -231,9 +228,6 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
             else:
                 blocks = subtree(heads[i])
             for sigs, values, ks in blocks:
-                count += len(values)
-                if count > MAX_CANDIDATES:
-                    raise ResourceLimitError(f"more than {MAX_CANDIDATES} candidates")
                 yield from map(Candidate, sigs, values, ks)
     finally:
         if worker:
@@ -270,19 +264,15 @@ def _work(r: int, w: int, heads: list, subtree) -> None:
     never returns into the caller's frames, runs no atexit handler and
     flushes no inherited buffer.  Its frames are length-prefixed marshal
     dumps: (signatures, N, K) lists for a whole subtree, or (exception
-    name, message) when it fails, which the caller raises again."""
+    name, message) when it fails, which the caller raises as RuntimeError."""
     code = 1
     out = None
     try:
         os.close(r)                 # so a write fails once the caller has gone
         out = os.fdopen(w, "wb")
-        count = 0
         for head in heads:
             sigs, values, ks = [], [], []
             for s, v, k in subtree(head):
-                count += len(v)
-                if count > MAX_CANDIDATES:
-                    raise ResourceLimitError(f"more than {MAX_CANDIDATES} candidates")
                 sigs += s
                 values += v
                 ks += k
@@ -311,11 +301,8 @@ def _receive(reader: BinaryIO) -> tuple:
     if not size or len(data) < size:
         raise RuntimeError("the candidate worker ended without sending a subtree")
     frame = marshal.loads(data)
-    if len(frame) == 2:
-        name, message = frame
-        if name == ResourceLimitError.__name__:
-            raise ResourceLimitError(message)
-        raise RuntimeError(f"the candidate worker failed: {name}: {message}")
+    if len(frame) == 2:                 # (exception name, message)
+        raise RuntimeError("the candidate worker failed: {}: {}".format(*frame))
     return frame
 
 
@@ -520,19 +507,20 @@ def save_candidates(path: str, x: int, candidate_count: int,
 
 
 def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | None:
-    """(candidate count, records) from a census cache, or None if the file is
-    missing, stale (other bound, version or format) or fails any check: the
-    digest, the parse, or the recheck of every record.  The recheck rebuilds
-    N from the signature and K with kalmar_macmahon, and asks that the
-    records start at N = 1 and rise strictly in N and K up to x.  It also
-    asks for the doubling law (verify_champion_laws), which a deleted record
-    breaks whenever the gap it leaves exceeds 2x: N_{i+1} <= 2 N_i for
-    N_i >= 2, and the next record 2 N_last (or 4 after N = 1) lies above x."""
+    """(candidate count, records) from a census cache, or None if x exceeds
+    MAX_BOUND (no cache gets around the cap), the file is missing, stale
+    (other bound, version or format) or fails any check: the digest, the
+    parse, or the recheck of every record.  The recheck rebuilds N from the
+    signature and K with kalmar_macmahon, and asks that the records start
+    at N = 1 and rise strictly in N and K up to x.  It also asks for the
+    doubling law (verify_champion_laws), which a deleted record breaks
+    whenever the gap it leaves exceeds 2x: N_{i+1} <= 2 N_i for N_i >= 2,
+    and the next record 2 N_last (or 4 after N = 1) lies above x."""
     prefix = f"{_MAGIC} X={x} version={__version__} count="
     try:
         with open(path, encoding="ascii") as fh:
             header = fh.readline()
-            if not header.startswith(prefix):
+            if x > MAX_BOUND or not header.startswith(prefix):
                 return None
             count_s, sep, digest = header[len(prefix):].rstrip("\n").partition(" crc32=")
             count = int(count_s)

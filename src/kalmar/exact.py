@@ -28,7 +28,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import KalmarError, PreconditionError, ResourceLimitError
 from .primes import _TRIAL_BOUND, factorize, is_prime
@@ -157,7 +157,7 @@ def kalmar_macmahon(sig: Iterable[int]) -> int:
 
 # cap on Omega for kalmar_macmahon: a cold (1,)*4000 takes ~2 s, (1,)*8000 ~15 s
 MACMAHON_MAX_OMEGA = 4096
-# cap on Omega for kalmar_series_exact: cost ~ Omega^2.3, and (1,)*933 takes ~12 s
+# cap on Omega for kalmar_series_exact: (1,)*933 takes ~0.8 s, the witness at Omega 933 ~0.5 s
 SERIES_MAX_OMEGA = 1000
 
 _MEMO: dict[Signature, int] = {(): 1}
@@ -236,41 +236,49 @@ def tau_r(sig: Iterable[int], r: int) -> int:
     return out
 
 
-def kalmar_series_bounds(sig: Iterable[int], R: int) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket of K(n) from the truncated series
-    (1/2) sum_{r<=R} tau_r(n)/2^r.
-
-    Tail bound: tau_r(n) <= r^Om since C(a+r-1, a) = prod_{j<=a} (r-1+j)/j
-    <= r^a, and for r > R the terms r^Om/2^r decay at ratio at most
-    q = ((R+2)/(R+1))^Om / 2, so the tail is a geometric series once q < 1.
-    """
+def _series_brackets(sig: Signature, R: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """Exact brackets of K(n) from (1/2) sum_{r<=R} tau_r(n)/2^r and a tail
+    bound, at the cut-offs R, 2R, 4R, ...  The partial sum is one integer,
+    sum_{r<=R} tau_r 2^(R-r), extended in place when R doubles; tau_r is
+    prod_a C(a+r-1, a)^c over the distinct exponents a of multiplicity c,
+    each binomial stepped in r.  The tail: tau_r(n) <= r^Om since
+    C(a+r-1, a) = prod_{j<=a} (r-1+j)/j <= r^a, and for r > R the terms
+    r^Om/2^r decay at ratio at most q = ((R+2)/(R+1))^Om / 2, so the tail
+    is a geometric series once q < 1."""
     from fractions import Fraction      # kept off the import path of every query
-    sig = canonical_signature(sig)
     om = sum(sig)
-    if R < om:
+    mult = [(a, sig.count(a)) for a in set(sig)]
+    binoms = [1] * len(mult)            # C(a+r-1, a) at r = 1
+    total = 0 if sig else 1             # tau_0 = [n == 1]
+    r = 0
+    while True:
+        if (q := Fraction(R + 2, R + 1) ** om / 2) >= 1:
+            raise PreconditionError(f"R = {R} too small: tail ratio {q} >= 1")
+        for r in range(r + 1, R + 1):
+            total = 2 * total + math.prod(b ** c for (_, c), b in zip(mult, binoms))
+            binoms = [b * (a + r) // r for (a, _), b in zip(mult, binoms)]
+        lower = Fraction(total, 1 << (R + 1))
+        yield lower, lower + Fraction((R + 1) ** om, 1 << (R + 1)) / (1 - q) / 2
+        R *= 2
+
+
+def kalmar_series_bounds(sig: Iterable[int], R: int) -> tuple[Fraction, Fraction]:
+    """The series bracket of K(n) at the cut-off R (see _series_brackets)."""
+    sig = canonical_signature(sig)
+    if R < (om := sum(sig)):
         raise PreconditionError(f"need R >= Omega(sig) = {om}, got {R}")
-    q = Fraction(R + 2, R + 1) ** om / 2
-    if q >= 1:
-        raise PreconditionError(f"R = {R} too small: tail ratio {q} >= 1")
-    # one integer sum over the common denominator 2^(R+1): a single gcd
-    lower = Fraction(sum(tau_r(sig, r) << (R - r) for r in range(R + 1)), 1 << (R + 1))
-    first_omitted = Fraction((R + 1) ** om, 2 ** (R + 1))
-    tail = first_omitted / (1 - q) / 2
-    return lower, lower + tail
+    return next(_series_brackets(sig, R))
 
 
 def kalmar_series_exact(sig: Iterable[int]) -> int:
-    """K(n) pinned by tightening the series bracket until it holds a single
-    integer; independent of the other two methods.  Raises
+    """K(n) pinned by doubling the series cut-off until the bracket holds a
+    single integer; independent of the other two methods.  Raises
     ResourceLimitError before any work when Om > SERIES_MAX_OMEGA."""
     sig = canonical_signature(sig)
     refuse_series(sig)
-    r = max(2 * sum(sig) + 16, 64)
-    while True:
-        lo, hi = kalmar_series_bounds(sig, r)
+    for lo, hi in _series_brackets(sig, max(2 * sum(sig) + 16, 64)):
         if math.ceil(lo) == math.floor(hi):
             return math.floor(hi)
-        r *= 2
 
 
 def kp_multinomial(sig: Iterable[int]) -> int:

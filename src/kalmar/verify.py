@@ -122,6 +122,12 @@ def check_eulerian(n_max: int = 120) -> CheckResult:
     return CheckResult("eulerian_identity", True, f"n <= {n_max} and n = 200")
 
 
+def _defect(rho: float, log_n: float, log_k: float) -> float:
+    """D(n) = (rho log n - log K(n)) log log n / (log n)^(1/rho), from log n
+    and log K(n): the defect envelope of growth_laws and witness_sweep."""
+    return (rho * log_n - log_k) * math.log(log_n) / log_n ** (1 / rho)
+
+
 def check_growth_laws(n_max: int = 100_000) -> CheckResult:
     """K(2n) > K(n), 2 K(n) <= n^rho, log K(n) <= rho log n, all n in range;
     also reports the positive envelope of rho log n - log K(n): the minimum
@@ -140,8 +146,7 @@ def check_growth_laws(n_max: int = 100_000) -> CheckResult:
         if logk > rho * math.log(n) - math.log(2.0):
             return CheckResult("growth_laws", False, f"2K(n) > n^rho at n={n}")
         if n >= 16:
-            env = (rho * math.log(n) - logk) * math.log(math.log(n)) / math.log(n) ** (1 / rho)
-            env_min = min(env_min, env)
+            env_min = min(env_min, _defect(rho, math.log(n), logk))
     ok = env_min > 0.0
     return CheckResult("growth_laws", ok,
                        f"n <= {n_max}; defect envelope c5' >= {env_min:.4f}")
@@ -368,8 +373,7 @@ def check_witness_sweep(log_ns=tuple(range(50, 1001, 50))) -> CheckResult:
             if not log_c3 + lo_u <= w.log_k_lower <= log_c4 + hi_u:
                 return CheckResult("witness_sweep", False,
                                    f"exact K(m) escapes the sandwich bracket at {ln}")
-        env = (rho * ln - w.log_k_lower) * math.log(ln) / ln ** (1.0 / rho)
-        env_max = max(env_max, env)
+        env_max = max(env_max, _defect(rho, ln, w.log_k_lower))
     return CheckResult("witness_sweep", True,
                        f"log n in {log_ns[0]}..{log_ns[-1]}; defect envelope C6' <= {env_max:.3f}")
 

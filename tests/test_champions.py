@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -39,7 +40,7 @@ def test_candidates_x1():
 def test_candidates_errors(monkeypatch):
     with pytest.raises(DomainError):
         list(ch.enumerate_candidates(0))
-    monkeypatch.setattr(ch, "MAX_CANDIDATES", 10)
+    monkeypatch.setattr(ch, "MAX_BOUND", 10**5)
     with pytest.raises(ResourceLimitError):
         list(ch.enumerate_candidates(10**6))
 
@@ -193,34 +194,13 @@ def test_forked_worker_lifecycle(monkeypatch):
     assert_no_child()
 
 
-def ended_child_status(timeout):
-    """Exit status of a child that has ended, left unreaped; None on timeout."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        info = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-        if info is not None:
-            return info.si_status
-        time.sleep(0.01)
-    return None
-
-
 def test_forked_worker_limits(monkeypatch):
+    # a bound above the cap is refused before the fork: no worker, no child
     forks = force_path(monkeypatch, True)
-    monkeypatch.setattr(ch, "MAX_CANDIDATES", 30_000)
+    monkeypatch.setattr(ch, "MAX_BOUND", 10**18 - 1)
     with pytest.raises(ResourceLimitError):
         list(ch.enumerate_candidates(10**18))
-    assert len(forks) == 1
-    assert_no_child()
-    # the worker stops once its own count passes the cap: the caller is
-    # still in its first subtree (31 candidates counted) when the worker,
-    # past 100 in the a_1 = 3 subtree, has ended with status 1
-    monkeypatch.setattr(ch, "MAX_CANDIDATES", 100)
-    gen = ch.enumerate_candidates(10**18)
-    next(itertools.islice(gen, 16, None))       # the root's block has 16
-    assert len(forks) == 2
-    assert ended_child_status(30) == 1
-    with pytest.raises(ResourceLimitError):
-        list(gen)
+    assert forks == []
     assert_no_child()
 
 
@@ -421,17 +401,49 @@ def test_candidate_signature_storage():
         a, b = ch.Candidate(sig, n, k), ch.Candidate(bytes(sig), n, k)
         assert a == b and hash(a) == hash(b) == hash((sig, n, k))
         assert type(a.signature) is tuple and a.signature == b.signature == sig
-    big = ch.Candidate((300,), 2**300, 2**299)  # an exponent that fits no byte
-    assert big.signature == (300,) and type(big.signature) is tuple
-    assert big == ch.Candidate([300], 2**300, 2**299)
     assert ch.Candidate((), 1, 1).signature == ()
     assert next(ch.enumerate_candidates(1)).signature == ()
-    # above 2^256 the root's heads reach exponent 300 and are built without
-    # error; the first 100 candidates (the root's 1-tail, then the (2,)
-    # subtree, all exponents < 256) re-multiply and have exact K
-    for c in itertools.islice(ch.enumerate_candidates(2**300), 100):
-        assert c.value == math.prod(map(pow, first_primes(len(c.signature) or 1), c.signature))
-        assert c.k_value == ex.kalmar_macmahon(c.signature)
+    # no bound with an exponent that fits no byte is enumerated
+    with pytest.raises(ResourceLimitError, match="cap"):
+        next(ch.enumerate_candidates(2**300))
+
+
+def test_bound_cap(monkeypatch, tmp_path):
+    # the cap is X30; X30 itself is walked, X30 + 1 is refused before any
+    # K, prime list or fork, and the CLI exits 2 at once with no cache file
+    assert ch.MAX_BOUND == math.prod(first_primes(30))
+    gen = ch.enumerate_candidates(ch.MAX_BOUND)
+    first = next(gen)
+    assert first.value == 1 and first.signature == () and first.k_value == 1
+    gen.close()
+    assert_no_child()
+    over = ch.MAX_BOUND + 1
+
+    def fail(*args):
+        raise AssertionError("work done above the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(ch, "kalmar_tail", fail)
+        m.setattr(ch, "_fork", fail)
+        m.setattr(ch, "_admissible_primes", fail)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            next(ch.enumerate_candidates(over))
+    cache = tmp_path / "over.cache"
+    for extra in ((), ("--cache", str(cache))):
+        t0 = time.monotonic()
+        cp = subprocess.run([sys.executable, "-m", "kalmar", "champions", "--x", str(over),
+                             "--census", *extra], capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - t0 < 1, extra
+        assert cp.returncode == 2 and cp.stdout == "", cp.stderr
+        assert cp.stderr.startswith(f"resource error: bound {over} exceeds cap")
+    assert not cache.exists()
+    assert_no_child()
+    # a valid cache for a bound above the cap loads as a miss
+    path = str(tmp_path / "x12.cache")
+    ch.save_candidates(path, 12, *ch.candidate_census(ch.enumerate_candidates(12)))
+    assert ch.load_candidates(path, 12) is not None
+    monkeypatch.setattr(ch, "MAX_BOUND", 11)
+    assert ch.load_candidates(path, 12) is None
 
 
 def read_cache(path):

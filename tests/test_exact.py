@@ -161,6 +161,19 @@ def test_series_bounds():
         ex.kalmar_series_bounds((8, 8, 8), 24)   # tail ratio >= 1
 
 
+def test_series_bracket_against_tau_r():
+    # the stepped integer partial sum gives the bracket summed term by term
+    # over the public tau_r, repeated exponents included
+    for sig, R in (((), 0), ((), 5), ((1,), 40), ((2, 1), 60), ((3, 3, 1), 64),
+                   ((2, 2, 2, 2), 100), ((5, 5, 2, 2, 2), 200), ((1,) * 12, 129)):
+        om = sum(sig)
+        lower = sum(Fraction(ex.tau_r(sig, r), 2 ** (r + 1)) for r in range(R + 1))
+        q = Fraction(R + 2, R + 1) ** om / 2
+        upper = lower + Fraction((R + 1) ** om, 2 ** (R + 1)) / (1 - q) / 2
+        got = ex.kalmar_series_bounds(sig, R)
+        assert got == (lower, upper) and all(type(v) is Fraction for v in got), (sig, R)
+
+
 def test_series_exact():
     for sig in ((), (1,), (2, 1), (3, 2, 1), (8, 3, 1)):
         assert ex.kalmar_series_exact(sig) == ex.kalmar_macmahon(sig)
