@@ -5,14 +5,15 @@ N = 2^a1 3^a2 ... p_k^ak with a1 >= a2 >= ... >= ak >= 1, so the search
 space up to a bound X is the finite set of such candidates.  They are
 generated depth-first over the prime index, and K is attached exactly.
 Every candidate is a head (N = 1, or last exponent >= 2) followed by j >= 0
-exponents 1 on the next primes, its 1-tail; one packed sum gives K for a
-head and its whole 1-tail (exact.kalmar_tail, whose slots are 2 bits(X)
-wide because K(n) <= n^2).  Champions are the strict running maxima of K
-in N-order.  N = 1 (empty signature, K = 1) is champion rank 1.  Bounds
-above MAX_BOUND are refused before any work.  A Candidate keeps its
-signature as bytes, one exponent per byte, so a held list costs about 190
-bytes per candidate at X20 (244 with tuple signatures); the census below
-streams and is within a megabyte either way.
+exponents 1 on the next primes, its 1-tail.  A head carries K(h+1^k) for
+every k with N p_next^k <= X, so its 1-tail's K needs no sum, and hands each
+child its own such vector by the rising-factorial shift
+(exact.kalmar_powers); only the root's comes from MacMahon's sum.  Champions
+are the strict running maxima of K in N-order.  N = 1 (empty signature,
+K = 1) is champion rank 1.  Bounds above MAX_BOUND are refused before any
+work.  A Candidate keeps its signature as bytes, one exponent per byte, so
+a held list costs about 190 bytes per candidate at X20 (244 with tuple
+signatures); the census below streams and is within a megabyte either way.
 
 The enumeration is one walk over the first-level subtrees (all candidates
 with the same a1).  From x = FORK_MIN_BOUND on, an optional forked worker
@@ -36,12 +37,11 @@ import marshal
 import math
 import os
 import sys
-from operator import mul
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .errors import DomainError, ResourceLimitError
-from .exact import kalmar_macmahon, kalmar_tail, tau_star_column
+from .exact import kalmar_macmahon, kalmar_powers
 from .primes import first_primes
 
 if TYPE_CHECKING:
@@ -131,10 +131,12 @@ def _admissible_primes(x: int) -> list[int]:
 MAX_BOUND = 31610054640417607788145206291543662493274686990
 
 # The smallest bound at which enumerate_candidates forks a worker.  Below it
-# the fork and the frames cost about what the worker's half of the walk
-# saves: on a 2-vCPU host, medians of 30 alternating in-process walks were
-# 9.6 ms serial against 10.4 ms forked at 10^10 (1 962 candidates), and
-# 19.8 against 16.4 ms at 10^11 (2 958).
+# the worker saves at most a millisecond or two, less than the spread of one
+# process start, for the cost of a second process: on a 2-vCPU host with
+# Python 3.11.7, medians of 30 alternating in-process walks were 6.4 ms
+# serial against 6.1 ms forked at 10^9 (1 274 candidates), 10.3 against
+# 8.9 ms at 10^10 (1 962), 15.0 against 12.0 ms at 10^11 (2 958) and 17.1
+# against 14.7 ms at 10^12 (4 357).
 FORK_MIN_BOUND = 10**11
 
 
@@ -152,11 +154,12 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
     last exponent is 1 has no child but its own extension by 1, so every
     candidate is h+1^j, j >= 0, for a head h: the root or a node whose last
     exponent is >= 2.  Only heads are walked, from an explicit stack: a head
-    yields itself and its 1-tail, with K from one packed sum (kalmar_tail),
-    and then its children h+e, e >= 2, follow.  A head carries
-    tau*_m = prod_h C(a_h+m-1, a_h) for m = 1..L, where L is the largest
-    Omega in its subtree, Omega(head) + max{w : N p_next^w <= x}; a child
-    multiplies it by the column C(e+m-1, e) of its new exponent e.
+    yields itself and its 1-tail, and then its children h+e, e >= 2,
+    follow.  A head carries ks[k] = K(h+1^k) for k <= R, where
+    R = max{w : N p_next^w <= x}, so its 1-tail's K is a prefix of ks with
+    no sum at all.  The root's ks is seeded by kalmar_macmahon, and every
+    child's comes from its parent's by exact.kalmar_powers, one short pass
+    per child.
 
     One loop yields the root's block, then each first-level subtree (the
     candidates with the same a_1) in turn.  From x = FORK_MIN_BOUND on, a
@@ -171,42 +174,36 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
     primes = _admissible_primes(x)
     top = x.bit_length() - 1                  # max{w : 2^w <= x}
     ones = [bytes((1,) * j) for j in range(len(primes) + 1)]
-    cols: dict[int, list[int]] = {}
 
     def expand(head):
         """(signatures, N, K) of a head and its 1-tail, and its child heads."""
-        value, sig, om, taus, length = head
+        value, sig, ks = head
         idx = len(sig)                        # primes[idx] is the next prime
-        if sig:
-            e = sig[-1]
-            col = cols.get(e)
-            if col is None:
-                col = cols[e] = tau_star_column(e, top)
-            taus = list(map(mul, taus, col[:length]))
         values = [value]
         for p in primes[idx:]:
             if values[-1] * p > x:
                 break
             values.append(values[-1] * p)
-        ks = kalmar_tail(taus, om, len(values) - 1, x)
         sigs = [sig + t for t in ones[:len(values)]]
-        heads = []
         if idx == len(primes):
-            return sigs, values, ks, heads
+            return sigs, values, ks[:len(values)], []
         p = primes[idx]
         q = primes[idx + 1] if idx + 1 < len(primes) else 0
         v = value * p * p
         e = 2
+        kids, rooms = [], []
         while e <= (sig[-1] if sig else top) and v <= x:
-            length = om + e
+            r = 0                             # max{w : v q^w <= x}
             t = v * q
             while q and t <= x:
-                length += 1
+                r += 1
                 t *= q
-            heads.append((v, sig + bytes((e,)), om + e, taus, length))
+            kids.append((v, sig + bytes((e,))))
+            rooms.append(r)
             v *= p
             e += 1
-        return sigs, values, ks, heads
+        heads = [(*k, c) for k, c in zip(kids, kalmar_powers(ks, rooms))] if rooms else []
+        return sigs, values, ks[:len(values)], heads
 
     def subtree(head):
         """(signatures, N, K) per head below and at head, in DFS pre-order."""
@@ -216,8 +213,9 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
             yield sigs, values, ks
             stack.extend(reversed(heads))
 
-    # a head: N, signature, Omega, its parent's tau*, its L
-    *block, heads = expand((1, b"", 0, [1] * top, top))
+    # a head: N, signature, [K(head+1^k) for k <= max{w : N p_next^w <= x}]
+    root = [kalmar_macmahon((1,) * k) for k in range(top + 1)]
+    *block, heads = expand((1, b"", root))
     worker = _fork(heads, subtree) if x >= FORK_MIN_BOUND else None
     try:
         for i in range(-1, len(heads)):

@@ -13,8 +13,8 @@ champions (default $KALMAR_CACHE, the one setting read from the environment).
 Output is byte-reproducible for a fixed argv.  Exact integers print in full
 decimal; reals print to --digits significant digits (12 by default).  CSV is
 comma-separated with a header row and no quoting; bracketed lists such as
-signatures keep their internal commas, so split rows with brackets in mind
-(see split_csv_row).
+signatures keep their internal commas, so split a row only on the commas
+outside brackets.
 """
 
 from __future__ import annotations
@@ -44,25 +44,6 @@ def fmt_real(x: float, digits: int = 12) -> str:
 
 def fmt_signature(sig) -> str:
     return "[" + ",".join(str(a) for a in sig) + "]"
-
-
-
-
-def split_csv_row(line: str) -> list[str]:
-    """Split a no-quoting CSV row on commas that are outside brackets."""
-    out, cur, depth = [], [], 0
-    for c in line:
-        if c == "[":
-            depth += 1
-        elif c == "]":
-            depth -= 1
-        if c == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    out.append("".join(cur))
-    return out
 
 
 def factor_string(n: int) -> str:

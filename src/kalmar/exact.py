@@ -13,11 +13,12 @@ Three independent methods are provided and must agree everywhere:
     expansion K(n) = (1/2) sum_r tau_r(n)/2^r.
 
 MacMahon's formula is one weighted sum of the vector tau*_m, m <= Omega, with
-weights from a two-term recurrence.  kalmar_tail evaluates a head h and its
-whole 1-tail h+1^j (h with j extra exponents 1) in one packed sum: slot j of
-the result, B bits wide, is K(h+1^j).  The slots cannot carry into each other
-because K(n) <= n^2 and every n is below the bound that sets B.  The champion
-search passes tau* of each head in; kalmar_macmahon is the tail-free case.
+weights from a two-term recurrence; kalmar_macmahon is the single-query
+kernel.  The champion census never sums: a head h carries the vector
+V[k] = K(h+1^k) (h with k extra exponents 1 on fresh primes), and
+kalmar_powers, the rising-factorial shift, gives the vectors of its
+children h+e from V in one short pass each.  Only the census root's vector
+is seeded by kalmar_macmahon.
 
 Everything in this module is exact; no floating point anywhere.
 """
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, product
-from operator import mul
+from itertools import accumulate, product, repeat
+from operator import add, floordiv, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import KalmarError, PreconditionError, ResourceLimitError
@@ -42,7 +43,7 @@ __all__ = [
     "signature_of",
     "tau_r",
     "tau_star_column",
-    "kalmar_tail",
+    "kalmar_powers",
     "kalmar_macmahon",
     "kalmar_recursive",
     "kalmar_series_bounds",
@@ -85,7 +86,8 @@ def tau_star_column(a: int, length: int) -> list[int]:
     return col
 
 
-@lru_cache(maxsize=256)        # holds every Omega <= 88 of the X20 census
+# holds every Omega <= 154 that the census root seed asks for up to MAX_BOUND
+@lru_cache(maxsize=256)
 def _weights(om: int) -> tuple[int, ...]:
     """(w[1], ..., w[om]) with w[m] = sum_{j=m}^{om} (-1)^(j-m) C(j, m)."""
     w, c = [1] * om, om + 1               # c = C(om+1, m+1), stepped down
@@ -95,46 +97,35 @@ def _weights(om: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-@lru_cache(maxsize=64)
-def _tail_powers(tail: int, bits: int) -> tuple[int, ...]:
-    """(Z[1], ..., Z[bits/2 - 1]) with Z[m] = sum_{j<=tail} m^j 2^(bits j)."""
-    return tuple(sum(m ** j << bits * j for j in range(tail + 1))
-                 for m in range(1, bits // 2))
+def kalmar_powers(ks: Sequence[int], rooms: Sequence[int]) -> list[list[int]]:
+    """The vectors [K(h+e+1^j) for j <= rooms[e-2]] of the children h+e,
+    e = 2, 3, ..., len(rooms) + 1, from ks[k] = K(h+1^k) of a head h.
 
-
-def kalmar_tail(taus: Sequence[int], om: int, tail: int = 0,
-                bound: int = 1) -> list[int]:
-    """[K(h), K(h+1), ..., K(h+1^tail)] for a head h with Omega(h) = om,
-    where h+1^j is h with j extra exponents 1 on fresh primes.
-
-    taus holds tau*_1..tau*_L of h for some L >= om + tail.  MacMahon's
-    K = sum_{m<=W} tau*_m w_W[m] holds for every W >= Omega, since the
-    higher differences vanish, and tau*_m(h+1^j) = tau*_m(h) m^j.  So with
-    W = om + tail and Z[m] = sum_{j<=tail} m^j 2^(Bj), one sum
-    S = sum_m tau*_m(h) w_W[m] Z[m] holds K(h+1^j) in its slot j, bits
-    Bj..Bj+B-1; tail = 0 is the single dot product of kalmar_macmahon.
-
-    Every h+1^j must be <= bound, and B = 2 bound.bit_length().  The slots
-    then decode exactly, because 0 < K(n) <= n^2 <= bound^2 < 2^B.  Proof of
-    K(n) <= n^2, by induction: K(1) = 1, and for n >= 2
-    K(n) = sum_{d|n, d<n} K(d) <= sum_{e|n, e>=2} (n/e)^2 <= n^2 (zeta(2) - 1).
-    K(1) = 1 is the one case with tau*_0 != 0, so a root (om = 0) gets
-    slot 0 set to 1.
+    Proof.  K(n) = sum_{m>=0} tau_m(n) / 2^(m+1), where tau_m(n) counts the
+    ordered m-tuples of factors >= 1 with product n, and tau_m is
+    multiplicative with tau_m(p^a) = C(m+a-1, a).  Let
+    L(f) = sum_{m>=0} tau_m(h) f(m) / 2^(m+1) for a polynomial f, a linear
+    map.  A fresh prime multiplies tau_m by m, so ks[k] = L(m^k) (with
+    0^0 = 1: tau_0(h) = [h = 1]).  So the shift (S V)[k] = V[k+1]
+    multiplies f by m, and S + c multiplies it by m + c.  A new prime power
+    p^e multiplies tau_m by C(m+e-1, e) = m(m+1)...(m+e-1) / e!, so
+    K(h+e+1^j) = (S(S+1)...(S+e-1) ks)[j] / e!, an exact division.  The
+    siblings share one running product: U_1 = S ks, U_e = (S+e-1) U_{e-1},
+    one pass U[k+1] + (e-1) U[k] each.  U_e[j] reads ks up to index e + j,
+    so ks needs max(e + rooms[e-2]) + 1 entries; fewer raise
+    PreconditionError.
     """
-    width = om + tail
-    if len(taus) < width:
-        raise PreconditionError(f"need {width} tau* values, got {len(taus)}")
-    w = _weights(width)
-    if not tail:
-        return [sum(map(mul, taus, w)) if om else 1]
-    if width >= bound.bit_length():
-        raise PreconditionError(f"no n <= {bound} has Omega = {width}")
-    bits = 2 * bound.bit_length()
-    s = sum(map(mul, map(mul, taus, w), _tail_powers(tail, bits)))
-    mask = (1 << bits) - 1
-    out = [(s >> bits * j) & mask for j in range(tail + 1)]
-    if not om:
-        out[0] = 1
+    need = max(map(add, rooms, range(2, len(rooms) + 2)), default=0) + 1
+    if need > len(ks) or min(rooms, default=0) < 0:
+        raise PreconditionError(f"need rooms >= 0 and {need} K values, got "
+                                f"rooms {list(rooms)} and {len(ks)} values")
+    out = []
+    u = ks[1:need]                                      # S ks
+    f = 1                                               # e!
+    for e, r in enumerate(rooms, 2):
+        u = list(map(add, u[1:], map(mul, u, repeat(e - 1))))   # (S + e-1) U
+        f *= e
+        out.append(list(map(floordiv, u[:r + 1], repeat(f))))
     return out
 
 
@@ -152,7 +143,7 @@ def kalmar_macmahon(sig: Iterable[int]) -> int:
     for a in set(sig):
         col, c = tau_star_column(a, om), sig.count(a)
         taus = list(map(mul, taus, col if c == 1 else [x ** c for x in col]))
-    return kalmar_tail(taus, om)[0]
+    return sum(map(mul, taus, _weights(om))) if om else 1
 
 
 # cap on Omega for kalmar_macmahon: a cold (1,)*4000 takes ~2 s, (1,)*8000 ~15 s

@@ -24,8 +24,8 @@ from kalmar import champions as ch
 from kalmar import constants as cn
 from kalmar import evans as ev
 from kalmar import verify as vf
-from kalmar.cli import split_csv_row
 from kalmar.primes import first_primes
+from test_cli import split_csv_row
 
 mpmath.mp.dps = 30
 

@@ -170,24 +170,24 @@ def test_forked_worker_lifecycle(monkeypatch):
     assert_no_child()
 
     # a kernel that fails only in the worker: an error frame, raised here
-    parent, tail = os.getpid(), ex.kalmar_tail
+    parent, powers = os.getpid(), ex.kalmar_powers
 
-    def failing_tail(*args):
+    def failing_powers(*args):
         if os.getpid() != parent:
             raise ArithmeticError("worker kernel")
-        return tail(*args)
+        return powers(*args)
 
-    monkeypatch.setattr(ch, "kalmar_tail", failing_tail)
+    monkeypatch.setattr(ch, "kalmar_powers", failing_powers)
     with pytest.raises(RuntimeError, match="ArithmeticError: worker kernel"):
         list(ch.enumerate_candidates(x))
     assert_no_child()
 
-    def dying_tail(*args):                      # no frame at all
+    def dying_powers(*args):                    # no frame at all
         if os.getpid() != parent:
             os._exit(3)
-        return tail(*args)
+        return powers(*args)
 
-    monkeypatch.setattr(ch, "kalmar_tail", dying_tail)
+    monkeypatch.setattr(ch, "kalmar_powers", dying_powers)
     with pytest.raises(RuntimeError, match="ended without sending"):
         list(ch.enumerate_candidates(x))
     assert len(forks) == 4
@@ -423,7 +423,8 @@ def test_bound_cap(monkeypatch, tmp_path):
         raise AssertionError("work done above the cap")
 
     with monkeypatch.context() as m:
-        m.setattr(ch, "kalmar_tail", fail)
+        m.setattr(ch, "kalmar_powers", fail)
+        m.setattr(ch, "kalmar_macmahon", fail)          # the root seed
         m.setattr(ch, "_fork", fail)
         m.setattr(ch, "_admissible_primes", fail)
         with pytest.raises(ResourceLimitError, match="cap"):

@@ -10,7 +10,24 @@ import zlib
 import pytest
 
 from kalmar import exact as ex
-from kalmar.cli import dispatch, split_csv_row
+from kalmar.cli import dispatch
+
+
+def split_csv_row(line: str) -> list[str]:
+    """Split a no-quoting CSV row on commas that are outside brackets."""
+    out, cur, depth = [], [], 0
+    for c in line:
+        if c == "[":
+            depth += 1
+        elif c == "]":
+            depth -= 1
+        if c == "," and depth == 0:
+            out.append("".join(cur))
+            cur = []
+        else:
+            cur.append(c)
+    out.append("".join(cur))
+    return out
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:

@@ -190,56 +190,54 @@ def test_tau_star_column_and_taus():
     for a in range(6):
         assert ex.tau_star_column(a, 9) == [math.comb(a + m - 1, a) for m in range(1, 10)]
     assert ex.tau_star_column(3, 0) == []
-    sig = (3, 2, 2, 1)
-    taus = [ex.tau_r(sig, m) for m in range(1, 12)]
-    assert ex.kalmar_tail(taus, sum(sig)) == [ex.kalmar_macmahon(sig)]
+    sig = (3, 2, 2)
+    ks = [ex.kalmar_macmahon(sig + (1,) * k) for k in range(4)]
+    assert ex.kalmar_powers(ks, [1]) == [[ex.kalmar_macmahon(sig + (2,)),
+                                          ex.kalmar_macmahon(sig + (2, 1))]]
     with pytest.raises(PreconditionError):
-        ex.kalmar_tail(taus[:7], sum(sig))
+        ex.kalmar_powers(ks[:3], [1])              # h+2+1 reads K(h+1^3)
 
 
-def test_tail_kernel_matches_macmahon():
-    # heads h (root or last exponent >= 2) with 1-tails up to J = 20, at the
-    # tightest bound N(h+1^J), so the slots are as narrow as they get
-    primes = first_primes(26)
-    rng = random.Random(10)
-    heads = [()] + [tuple(sorted((rng.randint(2, 9) for _ in range(rng.randint(1, 6))),
-                                 reverse=True)) for _ in range(40)]
-    for head in heads:
-        for tail in range(21):
-            sig = head + (1,) * tail
-            bound = math.prod(p ** a for p, a in zip(primes, sig))
-            om = sum(head)
-            taus = [ex.tau_r(head, m) for m in range(1, om + tail + 1)]
-            got = ex.kalmar_tail(taus, om, tail, bound)
-            assert got == [ex.kalmar_macmahon(head + (1,) * j) for j in range(tail + 1)], sig
-            assert max(got) <= bound ** 2
-    with pytest.raises(PreconditionError):
-        ex.kalmar_tail([1, 1], 0, 3, 100)                # too few tau* values
-    with pytest.raises(PreconditionError):
-        ex.kalmar_tail([1] * 8, 0, 4, 15)                # Omega 4 means N >= 16
-
-
-def test_tail_kernel_at_slot_edge():
-    # census-shaped heads, a_1 up to 88 as at X20, with 1-tails up to 24 and
-    # the bound equal to the largest tail member: B = 2 bound.bit_length() is
-    # as narrow as the slot proof allows for that tail
-    primes = first_primes(40)
-    rng = random.Random(19)
-    for _ in range(60):
+def census_heads(rng, count):
+    """The root and random census-shaped heads: a_1 up to 88 as at X20, up
+    to 12 parts, each with R up to 26 and child rooms up to 24."""
+    for i in range(count):
         head: tuple[int, ...] = ()
-        if rng.random() < 0.9:
+        if i:
             a = rng.randint(2, 88)
             head = (a,)
-            while len(head) < 12 and rng.random() < 0.7:
+            while len(head) < 12 and rng.random() < 0.6:
                 a = rng.randint(2, a)
                 head += (a,)
-        tail = rng.randint(0, 24)
-        members = [head + (1,) * j for j in range(tail + 1)]
-        bound = math.prod(p ** a for p, a in zip(primes, members[-1]))
-        om = sum(head)
-        taus = [ex.tau_r(head, m) for m in range(1, om + tail + 1)]
-        assert ex.kalmar_tail(taus, om, tail, bound) == \
-            [ex.kalmar_macmahon(sig) for sig in members], (head, tail)
+        top = rng.randint(2, 26)
+        rooms = [rng.randint(0, min(24, top - e)) for e in range(2, rng.randint(3, top + 1))]
+        if i % 2:
+            rooms[-1] = top - len(rooms) - 1     # the last child reads ks[top]
+        yield head, top, rooms
+
+
+def test_powers_match_macmahon():
+    # every entry of every child vector against MacMahon's sum
+    rng = random.Random(26)
+    for head, top, rooms in census_heads(rng, 40):
+        ks = [ex.kalmar_macmahon(head + (1,) * k) for k in range(top + 1)]
+        got = ex.kalmar_powers(ks, rooms)
+        assert len(got) == len(rooms)
+        for e, (r, vec) in enumerate(zip(rooms, got), 2):
+            assert vec == [ex.kalmar_macmahon(head + (e,) + (1,) * j)
+                           for j in range(r + 1)], (head, e)
+    with pytest.raises(PreconditionError):
+        ex.kalmar_powers([1, 1, 3], [-1])            # a room below 0
+
+
+def test_powers_closed_forms():
+    # from the root, K(1^k) seeds K(p^e) = 2^(e-1) and K(p^e q) = (e+2) 2^(e-1)
+    root = [ex.kalmar_macmahon((1,) * k) for k in range(62)]
+    assert root[:6] == [1, 1, 3, 13, 75, 541]        # the ordered Bell numbers
+    kids = ex.kalmar_powers(root, [1] * 59)
+    for e, (pe, peq) in enumerate(kids, 2):
+        assert (pe, peq) == (2 ** (e - 1), (e + 2) * 2 ** (e - 1)), e
+    assert ex.kalmar_powers(root, []) == []
 
 
 def test_macmahon_work_guard():
