@@ -11,9 +11,9 @@ child its own such vector by the rising-factorial shift
 (exact.kalmar_powers); only the root's comes from MacMahon's sum.  Champions
 are the strict running maxima of K in N-order.  N = 1 (empty signature,
 K = 1) is champion rank 1.  Bounds above MAX_BOUND are refused before any
-work.  A Candidate keeps its signature as bytes, one exponent per byte, so
-a held list costs about 190 bytes per candidate at X20 (244 with tuple
-signatures); the census below streams and is within a megabyte either way.
+work.  A Candidate holds N and K only and derives its signature from N on
+each read, so a held list costs about 125 bytes per candidate at 10^12; the
+census below streams and never holds it.
 
 The enumeration is one walk over the first-level subtrees (all candidates
 with the same a1).  From x = FORK_MIN_BOUND on, an optional forked worker
@@ -67,40 +67,44 @@ __all__ = [
 
 
 class Candidate:
-    """A champion-form N with its signature and exact K(N).
+    """A champion-form N = 2^a1 3^a2 ... p_k^ak with its exact K(N).
 
-    A plain slots class, not a NamedTuple: the census holds one per
-    candidate, and a tuple of three costs 16 bytes more than three slots.
-    The signature is stored as bytes, one exponent per byte: 33 bytes plus
-    one per prime, where a tuple costs 40 plus eight per prime, and bytes
-    are not tracked by the garbage collector.  Every exponent up to
-    MAX_BOUND is below 256.  .signature reads as a tuple, and equality,
-    hashing and repr are over (signature, value, k_value).
+    A plain two-slot class, not a NamedTuple: the census holds one per
+    candidate, and a tuple of two costs 8 bytes more.  N determines the
+    signature, so it is not stored: .signature divides N by 2, 3, 5, ... on
+    each read, up to the first prime that does not divide what is left.
+    Equality, hashing and repr are over (value, k_value).
     """
 
-    __slots__ = ("_sig", "value", "k_value")
+    __slots__ = ("value", "k_value")
 
-    def __init__(self, signature: tuple[int, ...] | bytes, value: int, k_value: int) -> None:
-        self._sig = bytes(signature)    # a bytes argument is returned as is
-        self.value = value          # N = 2^a1 3^a2 ... p_k^ak
+    def __init__(self, value: int, k_value: int) -> None:
+        self.value = value          # N
         self.k_value = k_value      # K(N)
 
     @property
     def signature(self) -> tuple[int, ...]:
-        return tuple(self._sig)
+        n, sig = self.value, []
+        for p in first_primes(n.bit_length()):  # N has fewer prime factors than bits
+            a = 0
+            while not n % p:
+                n //= p
+                a += 1
+            if not a:
+                break
+            sig.append(a)
+        return tuple(sig)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.signature, self.value, self.k_value) == \
-            (other.signature, other.value, other.k_value)
+        return (self.value, self.k_value) == (other.value, other.k_value)
 
     def __hash__(self) -> int:
-        return hash((self.signature, self.value, self.k_value))
+        return hash((self.value, self.k_value))
 
     def __repr__(self) -> str:
-        return (f"Candidate(signature={self.signature!r}, value={self.value!r}, "
-                f"k_value={self.k_value!r})")
+        return f"Candidate(value={self.value!r}, k_value={self.k_value!r})"
 
 
 class ChampionRecord(NamedTuple):
@@ -173,49 +177,47 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
         raise ResourceLimitError(f"bound {x} exceeds cap {MAX_BOUND}, the 30-prime primorial")
     primes = _admissible_primes(x)
     top = x.bit_length() - 1                  # max{w : 2^w <= x}
-    ones = [bytes((1,) * j) for j in range(len(primes) + 1)]
 
     def expand(head):
-        """(signatures, N, K) of a head and its 1-tail, and its child heads."""
-        value, sig, ks = head
-        idx = len(sig)                        # primes[idx] is the next prime
+        """(N, K) of a head and its 1-tail, and its child heads."""
+        value, idx, cap, ks = head
         values = [value]
         for p in primes[idx:]:
             if values[-1] * p > x:
                 break
             values.append(values[-1] * p)
-        sigs = [sig + t for t in ones[:len(values)]]
         if idx == len(primes):
-            return sigs, values, ks[:len(values)], []
+            return values, ks[:len(values)], []
         p = primes[idx]
         q = primes[idx + 1] if idx + 1 < len(primes) else 0
         v = value * p * p
         e = 2
         kids, rooms = [], []
-        while e <= (sig[-1] if sig else top) and v <= x:
+        while e <= cap and v <= x:
             r = 0                             # max{w : v q^w <= x}
             t = v * q
             while q and t <= x:
                 r += 1
                 t *= q
-            kids.append((v, sig + bytes((e,))))
+            kids.append((v, idx + 1, e))
             rooms.append(r)
             v *= p
             e += 1
         heads = [(*k, c) for k, c in zip(kids, kalmar_powers(ks, rooms))] if rooms else []
-        return sigs, values, ks[:len(values)], heads
+        return values, ks[:len(values)], heads
 
     def subtree(head):
-        """(signatures, N, K) per head below and at head, in DFS pre-order."""
+        """(N, K) per head below and at head, in DFS pre-order."""
         stack = [head]
         while stack:
-            sigs, values, ks, heads = expand(stack.pop())
-            yield sigs, values, ks
+            values, ks, heads = expand(stack.pop())
+            yield values, ks
             stack.extend(reversed(heads))
 
-    # a head: N, signature, [K(head+1^k) for k <= max{w : N p_next^w <= x}]
+    # a head: N, next prime's index, cap on its exponent, [K(head+1^k) for
+    # k <= max{w : N p_next^w <= x}]
     root = [kalmar_macmahon((1,) * k) for k in range(top + 1)]
-    *block, heads = expand((1, b"", root))
+    *block, heads = expand((1, 0, top, root))
     worker = _fork(heads, subtree) if x >= FORK_MIN_BOUND else None
     try:
         for i in range(-1, len(heads)):
@@ -225,8 +227,8 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
                 blocks = [_receive(worker[1])]
             else:
                 blocks = subtree(heads[i])
-            for sigs, values, ks in blocks:
-                yield from map(Candidate, sigs, values, ks)
+            for values, ks in blocks:
+                yield from map(Candidate, values, ks)
     finally:
         if worker:
             import signal           # only this path needs it; not at import
@@ -261,20 +263,19 @@ def _work(r: int, w: int, heads: list, subtree) -> None:
     """The forked worker: one frame per subtree to w, then os._exit.  It
     never returns into the caller's frames, runs no atexit handler and
     flushes no inherited buffer.  Its frames are length-prefixed marshal
-    dumps: (signatures, N, K) lists for a whole subtree, or (exception
-    name, message) when it fails, which the caller raises as RuntimeError."""
+    dumps: (N, K) lists for a whole subtree, or (exception name, message)
+    when it fails, which the caller raises as RuntimeError."""
     code = 1
     out = None
     try:
         os.close(r)                 # so a write fails once the caller has gone
         out = os.fdopen(w, "wb")
         for head in heads:
-            sigs, values, ks = [], [], []
-            for s, v, k in subtree(head):
-                sigs += s
+            values, ks = [], []
+            for v, k in subtree(head):
                 values += v
                 ks += k
-            _send(out, (sigs, values, ks))
+            _send(out, (values, ks))
         code = 0
     except BaseException as exc:    # any failure, sent for the caller to raise
         try:
@@ -299,7 +300,7 @@ def _receive(reader: BinaryIO) -> tuple:
     if not size or len(data) < size:
         raise RuntimeError("the candidate worker ended without sending a subtree")
     frame = marshal.loads(data)
-    if len(frame) == 2:                 # (exception name, message)
+    if isinstance(frame[0], str):       # (exception name, message)
         raise RuntimeError("the candidate worker failed: {}: {}".format(*frame))
     return frame
 
@@ -354,9 +355,7 @@ def candidate_census(candidates: Iterable[Candidate]) -> tuple[int, list[Champio
             limit = max(4096, 2 * len(kept))
     ordered = sorted((c for c in kept if c.k_value > floor[c.value.bit_length()]),
                      key=lambda c: c.value)
-    if not ordered:
-        return count, []
-    primes = first_primes(max(len(c.signature) for c in ordered) or 1)
+    primes = _admissible_primes(ordered[-1].value if ordered else 1)
     out: list[ChampionRecord] = []
     best_k = -1
     for cand in ordered:
@@ -545,7 +544,7 @@ def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | Non
                 and k == kalmar_macmahon(sig)):
             return None
         prev_n = n
-        records.append(_record(len(records) + 1, Candidate(sig, n, k), primes))
+        records.append(_record(len(records) + 1, Candidate(n, k), primes))
     # the next record, 2 N_last or 4, must lie above x, and the laws must hold
     if max(2 * prev_n, 4) <= x or not verify_champion_laws(records).ok:
         return None

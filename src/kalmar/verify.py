@@ -316,7 +316,7 @@ def check_sandwich(n_max: int = 100_000) -> CheckResult:
     check_witness_sweep: they must bracket the exact K of the witness, which
     the default sweep computes only at log n = 50 (Omega <= WITNESS_EXACT_OMEGA)."""
     points = [(math.log(c.k_value), *ev.sandwich_units(c.signature))
-              for c in ch.enumerate_candidates(n_max) if c.signature]
+              for c in ch.enumerate_candidates(n_max) if c.value > 1]
     c3 = min((math.exp(logk - lo_u) for logk, lo_u, _ in points), default=float("inf"))
     c4 = max((math.exp(logk - hi_u) for logk, _, hi_u in points), default=0.0)
     violations = sum(

@@ -204,6 +204,30 @@ def test_forked_worker_limits(monkeypatch):
     assert_no_child()
 
 
+def test_worker_frames_hold_n_and_k(monkeypatch):
+    # each frame the worker sends is one subtree as two lists, N and K,
+    # with no signature: the caller builds Candidate(N, K) from them
+    forks = force_path(monkeypatch, True)
+    frames = []
+    receive = ch._receive
+
+    def spy(reader):
+        frames.append(receive(reader))
+        return frames[-1]
+
+    monkeypatch.setattr(ch, "_receive", spy)
+    cands = list(ch.enumerate_candidates(10**12))
+    assert len(forks) == 1 and frames
+    for frame in frames:
+        assert type(frame) is tuple and len(frame) == 2
+        values, ks = frame
+        assert type(values) is list and type(ks) is list and len(values) == len(ks)
+        assert all(type(v) is int for v in values + ks)
+    pairs = {(c.value, c.k_value) for c in cands}
+    assert {p for values, ks in frames for p in zip(values, ks)} < pairs
+    assert_no_child()
+
+
 def test_every_small_bound_against_recursion():
     def champion_form(n):
         fac = factorize(n)
@@ -242,13 +266,13 @@ def test_record_prefilter_matches_full_scan():
     check([])
     C = ch.Candidate
     # equal K on both sides of the 7 | 8 and 15 | 16 bit-length edges
-    edges = [C((), 7, 5), C((), 8, 5), C((), 6, 3), C((), 9, 6), C((), 15, 6),
-             C((), 16, 6), C((), 17, 7), C((), 1, 1), C((), 31, 7), C((), 32, 8)]
+    edges = [C(7, 5), C(8, 5), C(6, 3), C(9, 6), C(15, 6),
+             C(16, 6), C(17, 7), C(1, 1), C(31, 7), C(32, 8)]
     check(edges)
     check(edges[::-1])
     for _ in range(200):
         values = rng.sample(range(1, 300), rng.randint(1, 40))
-        check([C((), v, rng.randint(1, 6)) for v in values])
+        check([C(v, rng.randint(1, 6)) for v in values])
 
 
 def test_streaming_census_matches_list():
@@ -288,8 +312,8 @@ def test_streaming_census_memory():
 
 
 def test_candidate_list_memory():
-    # a held candidate list costs under 200 B per candidate: the object, a
-    # bytes signature, N and K (about 211 B with tuple signatures)
+    # a held candidate list costs under 140 B per candidate: the object, N
+    # and K, about 125 B
     x = 10**12
     list(ch.enumerate_candidates(x))    # warm the kernel's caches
     gc.collect()                        # and empty the tuple free lists
@@ -300,7 +324,7 @@ def test_candidate_list_memory():
     finally:
         tracemalloc.stop()
     assert len(cands) == 4357
-    assert held / len(cands) <= 200, held / len(cands)
+    assert held / len(cands) <= 140, held / len(cands)
 
 
 def test_champions_x12():
@@ -378,32 +402,50 @@ def test_census_alpha_gt1():
 
 
 def test_candidate_layout():
-    # three slots and no __dict__: the census holds one per candidate
-    class ThreeSlots:
-        __slots__ = ("a", "b", "c")
+    # two slots and no __dict__: the census holds one per candidate
+    class TwoSlots:
+        __slots__ = ("a", "b")
 
-    c = ch.Candidate((2, 1), 12, 8)
+    c = ch.Candidate(12, 8)
     assert not hasattr(c, "__dict__")
-    assert sys.getsizeof(c) <= sys.getsizeof(ThreeSlots())
-    twin = ch.Candidate((2, 1), 12, 8)
+    assert sys.getsizeof(c) <= sys.getsizeof(TwoSlots())
+    twin = ch.Candidate(12, 8)
     assert c == twin and c is not twin and hash(c) == hash(twin)
-    assert hash(c) == hash(((2, 1), 12, 8))
-    assert c != ch.Candidate((2, 1), 12, 9) and c != ch.Candidate((3,), 12, 8)
-    assert c != ((2, 1), 12, 8)                 # not a tuple
-    assert len({c, twin, ch.Candidate((), 1, 1)}) == 2
-    assert repr(c) == "Candidate(signature=(2, 1), value=12, k_value=8)"
+    assert hash(c) == hash((12, 8))
+    assert c != ch.Candidate(12, 9) and c != ch.Candidate(18, 8)
+    assert c != (12, 8)                         # not a tuple
+    assert len({c, twin, ch.Candidate(1, 1)}) == 2
+    assert repr(c) == "Candidate(value=12, k_value=8)"
 
 
-def test_candidate_signature_storage():
-    # bytes or tuple in, the same candidate out; .signature is always a tuple
-    # (the K values here are not checked)
-    for sig, n, k in (((2, 1), 12, 8), ((), 1, 1), ((255, 3), 2**255 * 27, 1)):
-        a, b = ch.Candidate(sig, n, k), ch.Candidate(bytes(sig), n, k)
-        assert a == b and hash(a) == hash(b) == hash((sig, n, k))
-        assert type(a.signature) is tuple and a.signature == b.signature == sig
-    assert ch.Candidate((), 1, 1).signature == ()
+def test_candidate_signature_from_value(monkeypatch):
+    # .signature is derived from N on each read: a non-increasing tuple of
+    # exponents on 2, 3, 5, ... whose product is N, and the serial stream's
+    # signatures are those of a plain recursive walk, in its pre-order
+    x = math.prod(first_primes(16))
+    primes = first_primes(16)
+
+    def walk(sig, n):
+        yield sig
+        p = primes[len(sig)] if len(sig) < len(primes) else x + 1
+        for e in range(1, (sig[-1] if sig else x.bit_length()) + 1):
+            if n * p**e > x:
+                break
+            yield from walk(sig + (e,), n * p**e)
+
+    force_path(monkeypatch, False)
+    sigs = []
+    for c in ch.enumerate_candidates(x):
+        sig = c.signature
+        assert type(sig) is tuple and list(sig) == sorted(sig, reverse=True)
+        assert min(sig, default=1) >= 1
+        assert math.prod(map(pow, primes, sig)) == c.value
+        sigs.append(sig)
+    assert sigs == list(walk((), 1))
+    assert ch.Candidate(1, 1).signature == ()
+    assert ch.Candidate(2**255 * 27, 1).signature == (255, 3)
     assert next(ch.enumerate_candidates(1)).signature == ()
-    # no bound with an exponent that fits no byte is enumerated
+    # 2^300 lies above the cap: refused before any candidate
     with pytest.raises(ResourceLimitError, match="cap"):
         next(ch.enumerate_candidates(2**300))
 
