@@ -404,25 +404,19 @@ def census(x: int, candidates: Iterable[Candidate] | None = None) -> CensusResul
 
 class ChampionDiagnostics(NamedTuple):
     rank: int
-    log_n: float
     omega_residual: float | None            # (Omega - b log N) / (log N)^delta
-    exponent_residuals: tuple[float, ...]   # (a_i - beta_i log N) log p_i / (log N)^delta
     p_profile_ratios: tuple[tuple[int, float], ...]  # P_j / (a log N / j)^(1/rho)
     omega_ratio: float | None               # omega log log N / (rho a^(1/rho) (log N)^(1/rho))
 
 
 def champion_stats(rec: ChampionRecord, tab: ConstantsTable) -> ChampionDiagnostics:
-    """Finite-N residuals of the champion asymptotics; diagnostics only."""
-    sig = rec.candidate.signature
-    if not sig:
-        return ChampionDiagnostics(rec.rank, 0.0, None, (), (), None)
+    """Finite-N residuals of the champion asymptotics at one record, as
+    `champions --stats` prints them: the Omega residual, the P_j profile
+    ratios (printed at j = 1) and the omega ratio; None or empty at N = 1."""
+    if rec.candidate.value == 1:
+        return ChampionDiagnostics(rec.rank, None, (), None)
     log_n = math.log(rec.candidate.value)
     scale = log_n ** tab.delta
-    primes = first_primes(len(sig))
-    exp_resid = tuple(
-        (a - beta * log_n) * math.log(p) / scale
-        for a, p, beta in zip(sig, primes, tab.beta_profile(len(sig)))
-    )
     p_ratios = tuple(
         (j, pj / (tab.a * log_n / j) ** (1.0 / tab.rho))
         for j, pj in rec.p_profile
@@ -433,9 +427,7 @@ def champion_stats(rec: ChampionRecord, tab: ConstantsTable) -> ChampionDiagnost
                        / (tab.kappa_max * log_n ** (1.0 / tab.rho)))
     return ChampionDiagnostics(
         rank=rec.rank,
-        log_n=log_n,
         omega_residual=(rec.big_omega - tab.b * log_n) / scale,
-        exponent_residuals=exp_resid,
         p_profile_ratios=p_ratios,
         omega_ratio=omega_ratio,
     )

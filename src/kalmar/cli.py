@@ -9,6 +9,8 @@ Each option is declared, with its default and its check, only on the
 subcommands that read it: --format and --digits on the seven that print
 tables (all but k and verify), --sieve-bound on constants, --cache on
 champions (default $KALMAR_CACHE, the one setting read from the environment).
+Options that choose what one subcommand prints exclude each other: --census,
+--stats and --table on champions, --check and --method on k.
 
 Output is byte-reproducible for a fixed argv.  Exact integers print in full
 decimal; reals print to --digits significant digits (12 by default).  CSV is
@@ -93,7 +95,7 @@ def _cmd_k(args, out) -> int:
             raise KalmarError(f"methods disagree: {values}")
         out.write(f"{values['macmahon']}\n")
         return 0
-    out.write(f"{methods[args.method](sig)}\n")
+    out.write(f"{methods[args.method or 'macmahon'](sig)}\n")
     return 0
 
 
@@ -364,9 +366,10 @@ def build_parser() -> _Parser:
     k = sub.add_parser("k", help="exact K(n)")
     k.add_argument("--n", type=int)
     k.add_argument("--signature", type=_signature, help="exponents, e.g. 8,3,1")
-    k.add_argument("--method", choices=("macmahon", "recursive", "series"),
-                   default="macmahon")
-    k.add_argument("--check", action="store_true", help="run all methods and compare")
+    how = k.add_mutually_exclusive_group()
+    how.add_argument("--method", choices=("macmahon", "recursive", "series"),
+                     help="default macmahon")
+    how.add_argument("--check", action="store_true", help="run all methods and compare")
     k.set_defaults(fn=_cmd_k)
 
     c = sub.add_parser("constants", parents=[table], help="analytic constants table")
@@ -408,10 +411,11 @@ def build_parser() -> _Parser:
     h = sub.add_parser("champions", parents=[table], help="champion enumeration")
     h.add_argument("--x", type=_int_at_least("--x", 1), required=True,
                    help="enumeration bound (decimal)")
-    h.add_argument("--table", choices=("plain", "fig2"), default="plain",
-                   help="fig2 adds the K factorization column")
-    h.add_argument("--census", action="store_true")
-    h.add_argument("--stats", action="store_true")
+    view = h.add_mutually_exclusive_group()
+    view.add_argument("--table", choices=("plain", "fig2"),
+                      help="fig2 adds the K factorization column (default plain)")
+    view.add_argument("--census", action="store_true")
+    view.add_argument("--stats", action="store_true")
     h.add_argument("--cache", dest="cache_path", type=str,
                    default=os.environ.get(ENV_CACHE) or None,
                    help=f"census cache file (default ${ENV_CACHE})")

@@ -31,7 +31,6 @@ from .primes import first_primes, iter_primes
 __all__ = [
     "ConstantsTable",
     "TruncatedConstants",
-    "GapRow",
     "zeta",
     "zeta_truncated",
     "solve_rho",
@@ -39,7 +38,6 @@ __all__ = [
     "prime_zeta",
     "model_constants",
     "truncated_constants",
-    "gap_report",
     "prime_sum_check",
     "rho_gap_coefficient",
 ]
@@ -276,43 +274,6 @@ def model_constants() -> ConstantsTable:
 
 def truncated_constants(k: int) -> TruncatedConstants:
     return TruncatedConstants(k=k, rho_k=solve_rho(k), a_k=lagrange_scale(k))
-
-
-class GapRow(NamedTuple):
-    k: int
-    rho_k: float
-    a_k: float
-    rho_gap: float          # rho - rho_k
-    a_gap: float            # a_k - a
-    rho_gap_scaled: float   # (rho - rho_k) * k^(rho-1) (log k)^rho
-    a_gap_scaled: float     # (a_k - a) (rho-1) (k log k)^(rho-1) / a^2
-
-
-def gap_report(k_list: list[int]) -> list[GapRow]:
-    """Convergence diagnostics of rho_k -> rho and a_k -> a.
-
-    The scaled columns tend (slowly) to a/(rho-1) and 1 respectively; this is
-    a monotone-trend report, no limit is asserted.
-    """
-    rho = solve_rho(INFINITE)
-    a = lagrange_scale(INFINITE)
-    rows = []
-    for k in k_list:
-        if k < 2:
-            raise DomainError("gap_report needs k >= 2 (log k must be positive)")
-        rk = solve_rho(k)
-        ak = lagrange_scale(k)
-        lk = math.log(k)
-        rows.append(GapRow(
-            k=k,
-            rho_k=rk,
-            a_k=ak,
-            rho_gap=rho - rk,
-            a_gap=ak - a,
-            rho_gap_scaled=(rho - rk) * k ** (rho - 1.0) * lk ** rho,
-            a_gap_scaled=(ak - a) * (rho - 1.0) * (k * lk) ** (rho - 1.0) / (a * a),
-        ))
-    return rows
 
 
 def prime_sum_check(sieve_bound: int = 10**7) -> dict[str, tuple[float, float]]:

@@ -248,8 +248,10 @@ class RatioRow(NamedTuple):
     argmax: tuple[int, ...]
 
 
-# cap on the signatures ratio_scan visits, over all weights together
-RATIO_SCAN_MAX_SIGNATURES = 1_000_000
+# the largest omega_max ratio_scan accepts: it visits every signature of each
+# weight r <= omega_max, sum_{r<=48} p(r) = 918 219 of them, within a budget of
+# 10^6 signatures that r = 49 (1 091 744) would pass
+RATIO_SCAN_MAX_OMEGA = 48
 
 
 def ratio_scan(omega_max: int) -> list[RatioRow]:
@@ -260,17 +262,9 @@ def ratio_scan(omega_max: int) -> list[RatioRow]:
     """
     if omega_max < 1:
         raise DomainError("omega_max must be >= 1")
-    # count the signatures, p(1) + ... + p(omega_max), before any is visited,
-    # by Euler's recurrence p(n) = sum_j (-1)^(j+1) p(n - g) over the
-    # pentagonal numbers g = j(3j -+ 1)/2 <= n; the default cap stops it at r = 49
-    p, seen = [1], 0
-    for r in range(1, omega_max + 1):
-        p.append(sum((1 if j % 2 else -1) * p[r - g] for j in range(1, r + 1)
-                     for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= r))
-        seen += p[r]
-        if seen > RATIO_SCAN_MAX_SIGNATURES:
-            raise ResourceLimitError(
-                f"signature count exceeded {RATIO_SCAN_MAX_SIGNATURES} at omega = {r}")
+    if omega_max > RATIO_SCAN_MAX_OMEGA:
+        raise ResourceLimitError(
+            f"omega_max = {omega_max} exceeds cap {RATIO_SCAN_MAX_OMEGA}")
     rows = []
     for r in range(1, omega_max + 1):
         best = worst = None

@@ -66,6 +66,11 @@ def test_k_check():
     assert cp.returncode == 0 and cp.stdout.strip() == "604"
 
 
+def test_k_check_excludes_method():
+    cp = run_cli("k", "--signature", "3,2,1", "--check", "--method", "series")
+    assert cp.returncode == 1 and cp.stdout == ""
+    assert "not allowed with argument --check" in cp.stderr, cp.stderr
+
 
 def test_k_requires_one_input():
     assert run_cli("k").returncode == 1
@@ -115,6 +120,14 @@ def test_champions_stats_runs():
     cp = run_cli("champions", "--x", "720", "--stats", "--format", "csv")
     assert cp.returncode == 0
     assert cp.stdout.splitlines()[0].startswith("rank,N,omega,Omega")
+
+
+def test_champions_views_exclude_each_other():
+    for argv in (("--census", "--stats"), ("--stats", "--table", "fig2"),
+                 ("--table", "plain", "--census")):
+        cp = run_cli("champions", "--x", "100", *argv)
+        assert cp.returncode == 1 and cp.stdout == "", argv
+        assert "not allowed with argument" in cp.stderr, cp.stderr
 
 
 def test_champions_cache(tmp_path):

@@ -219,26 +219,35 @@ def test_prime_zeta_matches_mpmath():
         assert abs(cn.prime_zeta(s) - float(mpmath.primezeta(s))) < 1e-13, s
 
 
+def _gaps(k):
+    """rho - rho_k, a_k - a and their scaled forms, which tend (slowly) to
+    a/(rho-1) and 1: (rho - rho_k) k^(rho-1) (log k)^rho and
+    (a_k - a) (rho-1) (k log k)^(rho-1) / a^2."""
+    rho, a = cn.solve_rho(), cn.lagrange_scale()
+    rho_gap = rho - cn.solve_rho(k)
+    a_gap = cn.lagrange_scale(k) - a
+    lk = math.log(k)
+    return (rho_gap, a_gap, rho_gap * k ** (rho - 1.0) * lk ** rho,
+            a_gap * (rho - 1.0) * (k * lk) ** (rho - 1.0) / (a * a))
+
+
 def test_gap_report():
-    rows = cn.gap_report([2, 100, 1000])
-    by_k = {r.k: r for r in rows}
-    assert abs(by_k[2].rho_k - 1.43527) < 1e-5
-    assert abs(by_k[1000].rho_gap - 0.00021) < 1e-5
-    assert abs(by_k[100].a_gap - 0.01277) < 1e-5
-    for r in rows:
-        assert r.rho_gap > 0 and r.a_gap > 0
-        assert r.rho_gap_scaled > 0 and r.a_gap_scaled > 0
-    with pytest.raises(DomainError):
-        cn.gap_report([1])
+    assert abs(cn.solve_rho(2) - 1.43527) < 1e-5
+    assert abs(_gaps(1000)[0] - 0.00021) < 1e-5
+    assert abs(_gaps(100)[1] - 0.01277) < 1e-5
+    for k in (2, 100, 1000):
+        rho_gap, a_gap, rho_gap_scaled, a_gap_scaled = _gaps(k)
+        assert rho_gap > 0 and a_gap > 0
+        assert rho_gap_scaled > 0 and a_gap_scaled > 0
 
 
 def test_gap_scaled_columns_drift_toward_limits():
     # rho column tends to a/(rho-1), the a column to 1; slow, trend only
-    rows = cn.gap_report([50, 200, 800])
+    rows = [_gaps(k) for k in (50, 200, 800)]
     target = cn.rho_gap_coefficient()
-    d = [abs(r.rho_gap_scaled - target) for r in rows]
+    d = [abs(r[2] - target) for r in rows]
     assert d[0] > d[-1]
-    da = [abs(r.a_gap_scaled - 1.0) for r in rows]
+    da = [abs(r[3] - 1.0) for r in rows]
     assert da[0] > da[-1]
 
 

@@ -230,7 +230,7 @@ def test_ratio_scan(monkeypatch):
     assert rows[3].argmin == (4,) and rows[3].argmax == (1, 1, 1, 1)
     for r in rows:
         assert 1.0 < r.min_ratio <= r.max_ratio < 1.09
-    monkeypatch.setattr(ev, "RATIO_SCAN_MAX_SIGNATURES", 50)
+    monkeypatch.setattr(ev, "RATIO_SCAN_MAX_OMEGA", 20)
     with pytest.raises(ResourceLimitError):
         ev.ratio_scan(30)
     with pytest.raises(DomainError):
@@ -238,8 +238,8 @@ def test_ratio_scan(monkeypatch):
 
 
 def test_ratio_scan_refuses_before_any_k(monkeypatch):
-    # sum_{r<=49} p(r) = 1 091 744 signatures pass the cap of 10^6; the count
-    # comes before the scan, so no K is computed
+    # omega_max = 49 passes the cap of 48 (sum_{r<=49} p(r) = 1 091 744
+    # signatures, above 10^6); the refusal comes before the scan, so no K is computed
     def fail(sig):
         raise AssertionError(f"K computed for {sig}")
 
