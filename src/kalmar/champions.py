@@ -9,11 +9,12 @@ exponents 1 on the next primes, its 1-tail.  A head carries K(h+1^k) for
 every k with N p_next^k <= X, so its 1-tail's K needs no sum, and hands each
 child its own such vector by the rising-factorial shift
 (exact.kalmar_powers); only the root's comes from MacMahon's sum.  Champions
-are the strict running maxima of K in N-order.  N = 1 (empty signature,
-K = 1) is champion rank 1.  Bounds above MAX_BOUND are refused before any
-work.  A Candidate holds N and K only and derives its signature from N on
-each read, so a held list costs about 125 bytes per candidate at 10^12; the
-census below streams and never holds it.
+are the strict running maxima of K in N-order, and a ChampionRecord is its
+rank and its candidate.  N = 1 (empty signature, K = 1) is champion rank 1.
+Bounds above MAX_BOUND are refused before any work.  A Candidate holds N and
+K only and derives its signature from N on each read, so a held list costs
+about 125 bytes per candidate at 10^12; the census below streams and never
+holds it.
 
 The enumeration is one walk over the first-level subtrees (all candidates
 with the same a1).  From x = FORK_MIN_BOUND on, an optional forked worker
@@ -26,8 +27,8 @@ those whose K exceeds every K seen at a smaller bit length, which every
 record does; it never holds the whole candidate list.  The census can be
 persisted as one 'signature;N;K' line per record under a header that
 pins the bound, the package version, the candidate count and a digest of the
-body.  The file is replaced atomically; on load every record is rechecked,
-and a stale, unparsable or failing cache loads as a miss.
+count and the body.  The file is replaced atomically; on load every record
+is rechecked, and a stale, unparsable or failing cache loads as a miss.
 """
 
 from __future__ import annotations
@@ -108,12 +109,10 @@ class Candidate:
 
 
 class ChampionRecord(NamedTuple):
+    """A champion: its rank and its candidate.  omega, Omega, a_k and P_1
+    come from candidate.signature where they are read."""
     rank: int
     candidate: Candidate
-    omega: int                          # distinct prime factors
-    big_omega: int                      # prime factors with multiplicity
-    last_exponent: int | None           # a_k; None for N = 1
-    p_profile: tuple[tuple[int, int], ...]  # (j, P_j): largest prime with P_j^j | N
 
 
 def _admissible_primes(x: int) -> list[int]:
@@ -305,24 +304,6 @@ def _receive(reader: BinaryIO) -> tuple:
     return frame
 
 
-def _record(rank: int, cand: Candidate, primes: list[int]) -> ChampionRecord:
-    sig = cand.signature
-    profile = []                # (j, P_j), P_j the last prime with exponent >= j
-    i = len(sig)
-    for j in range(1, sig[0] + 1 if sig else 1):
-        while sig[i - 1] < j:   # sig is non-increasing
-            i -= 1
-        profile.append((j, primes[i - 1]))
-    return ChampionRecord(
-        rank=rank,
-        candidate=cand,
-        omega=len(sig),
-        big_omega=sum(sig),
-        last_exponent=sig[-1] if sig else None,
-        p_profile=tuple(profile),
-    )
-
-
 def candidate_census(candidates: Iterable[Candidate]) -> tuple[int, list[ChampionRecord]]:
     """One pass over the candidates: their count and the ranked K-records.
 
@@ -355,13 +336,12 @@ def candidate_census(candidates: Iterable[Candidate]) -> tuple[int, list[Champio
             limit = max(4096, 2 * len(kept))
     ordered = sorted((c for c in kept if c.k_value > floor[c.value.bit_length()]),
                      key=lambda c: c.value)
-    primes = _admissible_primes(ordered[-1].value if ordered else 1)
     out: list[ChampionRecord] = []
     best_k = -1
     for cand in ordered:
         if cand.k_value > best_k:
             best_k = cand.k_value
-            out.append(_record(len(out) + 1, cand, primes))
+            out.append(ChampionRecord(len(out) + 1, cand))
     return count, out
 
 
@@ -385,7 +365,7 @@ class CensusResult(NamedTuple):
 def census_from_records(x: int, candidate_count: int,
                         records: list[ChampionRecord]) -> CensusResult:
     """The census counts up to x from the candidate count and the records."""
-    gt1 = [r for r in records if r.last_exponent is not None and r.last_exponent > 1]
+    gt1 = [r for r in records if r.candidate.signature[-1:] > (1,)]     # a_k > 1
     return CensusResult(
         bound=x,
         candidate_count=candidate_count,
@@ -405,30 +385,26 @@ def census(x: int, candidates: Iterable[Candidate] | None = None) -> CensusResul
 class ChampionDiagnostics(NamedTuple):
     rank: int
     omega_residual: float | None            # (Omega - b log N) / (log N)^delta
-    p_profile_ratios: tuple[tuple[int, float], ...]  # P_j / (a log N / j)^(1/rho)
+    p1_ratio: float | None                  # P_1 / (a log N)^(1/rho)
     omega_ratio: float | None               # omega log log N / (rho a^(1/rho) (log N)^(1/rho))
 
 
 def champion_stats(rec: ChampionRecord, tab: ConstantsTable) -> ChampionDiagnostics:
     """Finite-N residuals of the champion asymptotics at one record, as
-    `champions --stats` prints them: the Omega residual, the P_j profile
-    ratios (printed at j = 1) and the omega ratio; None or empty at N = 1."""
+    `champions --stats` prints them: the Omega residual, the ratio of P_1,
+    the largest prime factor, and the omega ratio; None at N = 1."""
     if rec.candidate.value == 1:
-        return ChampionDiagnostics(rec.rank, None, (), None)
+        return ChampionDiagnostics(rec.rank, None, None, None)
+    sig = rec.candidate.signature
     log_n = math.log(rec.candidate.value)
-    scale = log_n ** tab.delta
-    p_ratios = tuple(
-        (j, pj / (tab.a * log_n / j) ** (1.0 / tab.rho))
-        for j, pj in rec.p_profile
-    )
     omega_ratio = None
     if log_n > 1.0:
-        omega_ratio = (rec.omega * math.log(log_n)
+        omega_ratio = (len(sig) * math.log(log_n)
                        / (tab.kappa_max * log_n ** (1.0 / tab.rho)))
     return ChampionDiagnostics(
         rank=rec.rank,
-        omega_residual=(rec.big_omega - tab.b * log_n) / scale,
-        p_profile_ratios=p_ratios,
+        omega_residual=(sum(sig) - tab.b * log_n) / log_n ** tab.delta,
+        p1_ratio=first_primes(len(sig))[-1] / (tab.a * log_n) ** (1.0 / tab.rho),
         omega_ratio=omega_ratio,
     )
 
@@ -463,30 +439,33 @@ def verify_champion_laws(records: list[ChampionRecord]) -> LawReport:
 _MAGIC = "# kalmar-census"
 
 
-def _digest(body: str) -> str:
-    """CRC-32 of the body: it catches a damaged or truncated file, and the
-    recheck on load catches a wrong record.  hashlib would load OpenSSL,
-    3.6 MB of RSS in a process that otherwise peaks near 16 MB."""
+def _digest(count: str, body: str) -> str:
+    """CRC-32 of the candidate count and the body: it catches a damaged or
+    truncated file, and the recheck on load catches a wrong record.  hashlib
+    would load OpenSSL, 3.6 MB of RSS in a process that otherwise peaks near
+    16 MB."""
     import zlib                 # only a cache read or write pays for it
-    return f"{zlib.crc32(body.encode('ascii')):08x}"
+    return "%08x" % zlib.crc32(f"{count}\n{body}".encode("ascii"))
 
 
 def save_candidates(path: str, x: int, candidate_count: int,
                     records: list[ChampionRecord]) -> None:
     """Write the census at x: a header with the bound, the package version,
-    the candidate count and the CRC-32 of the body, then one 'signature;N;K'
-    line per record.  The file goes to a temporary name beside path and is
-    renamed into place, so a reader sees the old file or the whole new one.
-    A directory at path is refused before anything is written."""
+    the candidate count and the CRC-32 of the count and the body, then one
+    'signature;N;K' line per record.  The file goes to a temporary name
+    beside path and is renamed into place, so a reader sees the old file or
+    the whole new one.  A directory at path is refused before anything is
+    written."""
     if os.path.isdir(path):     # else the rename fails only after the whole write
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     body = "".join(f"{','.join(map(str, r.candidate.signature))};"
                    f"{r.candidate.value};{r.candidate.k_value}\n" for r in records)
+    count = str(candidate_count)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write(f"{_MAGIC} X={x} version={__version__} "
-                     f"count={candidate_count} crc32={_digest(body)}\n")
+                     f"count={count} crc32={_digest(count, body)}\n")
             fh.write(body)
         os.replace(tmp, path)
     except BaseException:
@@ -514,7 +493,7 @@ def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | Non
             count_s, sep, digest = header[len(prefix):].rstrip("\n").partition(" crc32=")
             count = int(count_s)
             body = fh.read()
-        if not sep or _digest(body) != digest:
+        if not sep or _digest(count_s, body) != digest:
             return None
         rows = []
         for line in body.splitlines():
@@ -536,7 +515,7 @@ def load_candidates(path: str, x: int) -> tuple[int, list[ChampionRecord]] | Non
                 and k == kalmar_macmahon(sig)):
             return None
         prev_n = n
-        records.append(_record(len(records) + 1, Candidate(n, k), primes))
+        records.append(ChampionRecord(len(records) + 1, Candidate(n, k)))
     # the next record, 2 N_last or 4, must lie above x, and the laws must hold
     if max(2 * prev_n, 4) <= x or not verify_champion_laws(records).ok:
         return None

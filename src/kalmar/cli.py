@@ -268,12 +268,12 @@ def _cmd_champions(args, out) -> int:
         rows = []
         for rec in records:
             st = ch.champion_stats(rec, tab)
+            sig = rec.candidate.signature
             rows.append([
-                str(rec.rank), str(rec.candidate.value),
-                str(rec.omega), str(rec.big_omega),
+                str(rec.rank), str(rec.candidate.value), str(len(sig)), str(sum(sig)),
                 fmt_real(st.omega_residual, d) if st.omega_residual is not None else "-",
                 fmt_real(st.omega_ratio, d) if st.omega_ratio is not None else "-",
-                fmt_real(st.p_profile_ratios[0][1], d) if st.p_profile_ratios else "-",
+                fmt_real(st.p1_ratio, d) if st.p1_ratio is not None else "-",
             ])
         _emit_table(["rank", "N", "omega", "Omega", "Omega_residual",
                      "omega_ratio", "P1_ratio"], rows, args, out)

@@ -154,6 +154,11 @@ def choose_k(log_n: float, kappa: float = KAPPA) -> int:
     return max(int(kappa * log_n ** (1.0 / tab.rho) / math.log(log_n)), 2)
 
 
+def _check_divisor_k(k: int) -> None:
+    if k > DIVISOR_MAX_K:
+        raise ResourceLimitError(f"k = {k} exceeds the divisor-search cap {DIVISOR_MAX_K}")
+
+
 def largest_divisor_leq(k: int, bound) -> int:
     """Largest divisor of p_1 p_2 ... p_k that is <= bound.
 
@@ -164,8 +169,7 @@ def largest_divisor_leq(k: int, bound) -> int:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if k > DIVISOR_MAX_K:
-        raise ResourceLimitError(f"k = {k} exceeds the divisor-search cap {DIVISOR_MAX_K}")
+    _check_divisor_k(k)
     num, den = bound.as_integer_ratio()      # exact, den > 0
     if num < den:
         raise DomainError("bound must be >= 1")
@@ -212,9 +216,11 @@ def witness_m(log_n: float, kappa: float = KAPPA) -> WitnessResult:
     otherwise replaced by the lower sandwich unit
     F(alpha) - k - (1/2) sum log alpha_i (evans.sandwich_units): the bound
     log C3' + unit with C3', which is fitted on small n, taken as 1, so an
-    estimate and not a proven bound.
+    estimate and not a proven bound.  k above DIVISOR_MAX_K raises
+    ResourceLimitError before the optimum over k primes is built.
     """
     k = choose_k(log_n, kappa)
+    _check_divisor_k(k)
     x_star = optimum(k, log_n).x_star
     primes = first_primes(k)
     logs = [math.log(p) for p in primes]
@@ -225,9 +231,8 @@ def witness_m(log_n: float, kappa: float = KAPPA) -> WitnessResult:
         )
     floors = [int(x) for x in x_star]
     m0_log = math.fsum(f * lp for f, lp in zip(floors, logs))
-    # log(n/m0) < log p_1...p_k <= 157.1 for k <= DIVISOR_MAX_K; the clamp only
-    # keeps exp from overflowing at a larger k, which largest_divisor_leq refuses
-    d = largest_divisor_leq(k, math.exp(min(log_n - m0_log, 709.0)))
+    # log(n/m0) < log p_1...p_k <= 157.1 for k <= DIVISOR_MAX_K: exp stays finite
+    d = largest_divisor_leq(k, math.exp(log_n - m0_log))
     exps = tuple(f + (1 if d % p == 0 else 0) for f, p in zip(floors, primes))
     m_log = math.fsum(e * lp for e, lp in zip(exps, logs))
     ratio = math.exp(log_n - m_log)

@@ -99,7 +99,7 @@ def check_truncated_table() -> CheckResult:
 
 def check_triple_oracle(omega_max: int = 12) -> CheckResult:
     """MacMahon == recursion, series bracket containment, K_P <= K, for every
-    signature with big_omega <= omega_max."""
+    signature with Omega <= omega_max."""
     n_sigs = 0
     for om in range(omega_max + 1):
         for sig in ex.signatures_with_omega(om):

@@ -347,15 +347,14 @@ def test_champions_first_rows():
 
 
 def test_champion_record_fields():
+    # a record is its rank and its candidate; the rest comes from the signature
+    assert ch.ChampionRecord._fields == ("rank", "candidate")
     champs = ch.find_champions(34560)
     rec = champs[-1]
     assert rec.rank == 40
-    assert rec.omega == 3 and rec.big_omega == 12 and rec.last_exponent == 1
-    profile = dict(rec.p_profile)
-    assert profile[1] == 5 and profile[2] == 3 and profile[3] == 3
-    assert all(profile[j] == 2 for j in range(4, 9))
-    first = champs[0]
-    assert first.last_exponent is None and first.p_profile == ()
+    assert rec.candidate.signature == (8, 3, 1)
+    assert first_primes(len(rec.candidate.signature))[-1] == 5         # P_1
+    assert champs[0].candidate.signature == ()
 
 
 def test_champion_laws():
@@ -371,9 +370,27 @@ def test_champion_stats():
     st = ch.champion_stats(champs[-1], tab)
     assert st.rank == 40
     assert st.omega_residual is not None
-    assert dict(st.p_profile_ratios)[1] > 0
+    assert st.p1_ratio == 5 / (tab.a * math.log(34560)) ** (1.0 / tab.rho)
     empty = ch.champion_stats(champs[0], tab)
-    assert empty.omega_residual is None
+    assert empty == (1, None, None, None)
+
+
+def test_stats_facts_against_factorization():
+    # omega, Omega and P_1 as --stats derives them from the signature equal
+    # those of an independent trial-division factorization of N
+    tab = cn.model_constants()
+    recs = ch.find_champions(10**12)
+    assert len(recs) > 100
+    for rec in recs[1:]:
+        n = rec.candidate.value
+        sig = rec.candidate.signature
+        parts = factorize(n)
+        assert len(sig) == len(parts)
+        assert sum(sig) == sum(e for _, e in parts)
+        p1 = first_primes(len(sig))[-1]
+        assert p1 == max(p for p, _ in parts)
+        assert ch.champion_stats(rec, tab).p1_ratio == \
+            p1 / (tab.a * math.log(n)) ** (1.0 / tab.rho)
 
 
 def test_small_oracle():
@@ -395,8 +412,8 @@ def test_census_monotone():
 def test_census_alpha_gt1():
     cen = ch.census(34560)
     gt1 = [r for r in ch.find_champions(34560)
-           if r.last_exponent is not None and r.last_exponent > 1]
-    assert cen.alpha_gt1_count == len(gt1)
+           if r.candidate.signature and r.candidate.signature[-1] > 1]
+    assert cen.alpha_gt1_count == len(gt1) == 14
     assert cen.largest_alpha_gt1.candidate.value == max(r.candidate.value for r in gt1)
 
 
@@ -500,7 +517,9 @@ def write_cache(path, header, body, redigest=True):
     text = "".join(line + "\n" for line in body)
     if redigest:
         head, _, _ = header.rpartition(" crc32=")
-        header = f"{head} crc32={zlib.crc32(text.encode()):08x}"
+        count = head.rpartition(" count=")[2]
+        data = (count + "\n" + text).encode()
+        header = f"{head} crc32={zlib.crc32(data):08x}"
     with open(path, "w") as fh:
         fh.write(header + "\n" + text)
 
@@ -563,6 +582,8 @@ def test_cache_recheck(tmp_path):
     bad_digest = header[:-1] + ("0" if header[-1] != "0" else "1")
     write_cache(path, bad_digest, body, redigest=False)
     assert ch.load_candidates(path, 34560) is None        # digest mismatch
+    write_cache(path, header.replace("count=120", "count=296"), body, redigest=False)
+    assert ch.load_candidates(path, 34560) is None        # the digest covers the count
     for line in ("2,3;72;76", "3,2;73;76", "3,2,0;72;76", "200;72;76"):
         write_cache(path, header, body[:8] + [line] + body[9:])
         assert ch.load_candidates(path, 34560) is None, line   # N off its signature

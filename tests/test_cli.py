@@ -158,8 +158,10 @@ def test_corrupt_cache_reenumerates(tmp_path):
     assert lines[8] == "3,2;72;76"
     lines[8] = "3,2;72;77"
     body = "".join(line + "\n" for line in lines)
-    header = header.rpartition(" crc32=")[0] + " crc32=" + \
-        f"{zlib.crc32(body.encode()):08x}"
+    head = header.rpartition(" crc32=")[0]
+    count = head.rpartition(" count=")[2]
+    data = (count + "\n" + body).encode()
+    header = f"{head} crc32={zlib.crc32(data):08x}"
     path.write_text(header + "\n" + body)
     again = run_cli("champions", "--x", "34560", "--census", "--cache", str(path))
     assert again.returncode == 0, again.stderr

@@ -120,6 +120,17 @@ def test_largest_divisor_errors():
         op.largest_divisor_leq(65, 10)
 
 
+def test_witness_refuses_k_before_optimum(monkeypatch):
+    # log n = 1e12 gives k = 474 830: refused before the optimum over all k
+    # primes is built, with the divisor search's message
+    def fail(*args):
+        raise AssertionError("optimum built above the divisor cap")
+
+    monkeypatch.setattr(op, "optimum", fail)
+    with pytest.raises(ResourceLimitError, match="k = 474830 exceeds the divisor-search cap 40"):
+        op.witness_m(1e12)
+
+
 def test_witness_exact_regime():
     w = op.witness_m(50.0)
     assert w.exact
