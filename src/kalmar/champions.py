@@ -8,7 +8,10 @@ Every candidate is a head (N = 1, or last exponent >= 2) followed by j >= 0
 exponents 1 on the next primes, its 1-tail.  A head carries K(h+1^k) for
 every k with N p_next^k <= X, so its 1-tail's K needs no sum, and hands each
 child its own such vector by the rising-factorial shift
-(exact.kalmar_powers); only the root's comes from MacMahon's sum.  Champions
+(exact.kalmar_powers); only the root's comes from MacMahon's sum.  A child
+with room for fewer than two more primes has no child of its own, so it is
+never walked as a head: its one or two candidates go into one block with
+those of its like siblings.  Champions
 are the strict running maxima of K in N-order, and a ChampionRecord is its
 rank and its candidate.  N = 1 (empty signature, K = 1) is champion rank 1.
 Bounds above MAX_BOUND are refused before any work.  A Candidate holds N and
@@ -17,8 +20,9 @@ about 125 bytes per candidate at 10^12; the census below streams and never
 holds it.
 
 The enumeration is one walk over the first-level subtrees (all candidates
-with the same a1).  From x = FORK_MIN_BOUND on, an optional forked worker
-walks every other one and sends each back whole over a pipe, and the walk
+with the same a1), then the block of the root's childless children.  From
+x = FORK_MIN_BOUND on, an optional forked worker walks every other one of
+these items and sends each back whole over a pipe, and the walk
 yields it in its place: the stream, its order included, is the same with
 or without the worker.  The bounds kalmar verify enumerates stay serial.
 
@@ -164,11 +168,21 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
     child's comes from its parent's by exact.kalmar_powers, one short pass
     per child.
 
-    One loop yields the root's block, then each first-level subtree (the
-    candidates with the same a_1) in turn.  From x = FORK_MIN_BOUND on, a
-    worker may walk every other one (a_1 = 3, 5, 7, ...; see _fork), and
-    the loop takes those whole from it: the items and their order are the
-    same either way.  x > MAX_BOUND raises ResourceLimitError up front.
+    A child h+e with room r = max{w : N p^e q^w <= x} < 2, q the prime
+    after p, has no child (h+e+2 needs N p^e q^2 <= x), and its 1-tail is
+    N p^e alone or with N p^e q.  Rooms do not grow with e, so these
+    children are the trailing siblings: their (N, K) pairs go into one
+    block that follows the other siblings' subtrees, in the order the walk
+    would have reached them, or into the head's own block when no sibling
+    is a head.  Only heads with room >= 2 are expanded.
+
+    One loop yields the root's block, then each first-level item in turn:
+    the subtrees (the candidates with the same a_1) and, last, the block of
+    the root's childless children.  From x = FORK_MIN_BOUND on, a worker
+    may walk every other item (a_1 = 3, 5, 7, ...; see _fork), sending a
+    block as an ordinary (N, K) frame, and the loop takes those whole from
+    it: the items and their order are the same either way.
+    x > MAX_BOUND raises ResourceLimitError up front.
     """
     if x < 1:
         raise DomainError("the bound must be >= 1")
@@ -178,7 +192,9 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
     top = x.bit_length() - 1                  # max{w : 2^w <= x}
 
     def expand(head):
-        """(N, K) of a head and its 1-tail, and its child heads."""
+        """(N, K) of a head and its 1-tail, and the items that follow it:
+        its child heads, then one block of (N, K) of its childless
+        children.  With no child head, that block joins the head's own."""
         value, idx, cap, ks = head
         values = [value]
         for p in primes[idx:]:
@@ -198,34 +214,49 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
             while q and t <= x:
                 r += 1
                 t *= q
-            kids.append((v, idx + 1, e))
+            kids.append(v)
             rooms.append(r)
             v *= p
             e += 1
-        heads = [(*k, c) for k, c in zip(kids, kalmar_powers(ks, rooms))] if rooms else []
-        return values, ks[:len(values)], heads
+        items, leaf_values, leaf_ks = [], [], []
+        for e, v, vec in zip(range(2, cap + 1), kids, kalmar_powers(ks, rooms)):
+            if len(vec) > 2:                  # room >= 2: h+e has the child h+e+2
+                items.append((v, idx + 1, e, vec))
+            else:                             # its 1-tail is v, or v and v q
+                leaf_values += (v, v * q)[:len(vec)]
+                leaf_ks += vec
+        ks = ks[:len(values)]
+        if not items:
+            return values + leaf_values, ks + leaf_ks, []
+        if leaf_values:
+            items.append((leaf_values, leaf_ks))
+        return values, ks, items
 
-    def subtree(head):
-        """(N, K) per head below and at head, in DFS pre-order."""
-        stack = [head]
+    def subtree(item):
+        """(N, K) blocks of item, a head or a block, in DFS pre-order."""
+        stack = [item]
         while stack:
-            values, ks, heads = expand(stack.pop())
+            item = stack.pop()
+            if len(item) == 2:                # a block of childless children
+                yield item
+                continue
+            values, ks, items = expand(item)
             yield values, ks
-            stack.extend(reversed(heads))
+            stack.extend(reversed(items))
 
     # a head: N, next prime's index, cap on its exponent, [K(head+1^k) for
     # k <= max{w : N p_next^w <= x}]
     root = [kalmar_macmahon((1,) * k) for k in range(top + 1)]
-    *block, heads = expand((1, 0, top, root))
-    worker = _fork(heads, subtree) if x >= FORK_MIN_BOUND else None
+    *block, items = expand((1, 0, top, root))
+    worker = _fork(items, subtree) if x >= FORK_MIN_BOUND else None
     try:
-        for i in range(-1, len(heads)):
+        for i in range(-1, len(items)):
             if i < 0:
                 blocks = [block]
             elif worker and i % 2:
                 blocks = [_receive(worker[1])]
             else:
-                blocks = subtree(heads[i])
+                blocks = subtree(items[i])
             for values, ks in blocks:
                 yield from map(Candidate, values, ks)
     finally:
@@ -237,8 +268,8 @@ def enumerate_candidates(x: int) -> Iterator[Candidate]:
             os.waitpid(pid, 0)
 
 
-def _fork(heads: list, subtree) -> tuple[int, BinaryIO] | None:
-    """A worker that walks subtree(h) for h in heads[1::2], as (its pid, a
+def _fork(items: list, subtree) -> tuple[int, BinaryIO] | None:
+    """A worker that walks subtree(i) for i in items[1::2], as (its pid, a
     reader of its frames); None where there is no os.fork, the process may
     run on one CPU only or runs more than one thread, or os.fork fails."""
     threading = sys.modules.get("threading")
@@ -253,25 +284,25 @@ def _fork(heads: list, subtree) -> tuple[int, BinaryIO] | None:
         os.close(w)
         return None
     if pid == 0:
-        _work(r, w, heads[1::2], subtree)
+        _work(r, w, items[1::2], subtree)
     os.close(w)
     return pid, os.fdopen(r, "rb")
 
 
-def _work(r: int, w: int, heads: list, subtree) -> None:
-    """The forked worker: one frame per subtree to w, then os._exit.  It
+def _work(r: int, w: int, items: list, subtree) -> None:
+    """The forked worker: one frame per item to w, then os._exit.  It
     never returns into the caller's frames, runs no atexit handler and
     flushes no inherited buffer.  Its frames are length-prefixed marshal
-    dumps: (N, K) lists for a whole subtree, or (exception name, message)
+    dumps: (N, K) lists for a whole item, or (exception name, message)
     when it fails, which the caller raises as RuntimeError."""
     code = 1
     out = None
     try:
         os.close(r)                 # so a write fails once the caller has gone
         out = os.fdopen(w, "wb")
-        for head in heads:
+        for item in items:
             values, ks = [], []
-            for v, k in subtree(head):
+            for v, k in subtree(item):
                 values += v
                 ks += k
             _send(out, (values, ks))

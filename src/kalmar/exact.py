@@ -17,8 +17,12 @@ weights from a two-term recurrence; kalmar_macmahon is the single-query
 kernel.  The champion census never sums: a head h carries the vector
 V[k] = K(h+1^k) (h with k extra exponents 1 on fresh primes), and
 kalmar_powers, the rising-factorial shift, gives the vectors of its
-children h+e from V in one short pass each.  Only the census root's vector
-is seeded by kalmar_macmahon.
+children h+e from V.  Each child's vector comes from its previous
+sibling's in one short pass and one exact division by e:
+V_e = (S+e-1) V_{e-1} / e, where S shifts the index by one and
+V_1 = S V; the division is exact because e! V_e is the integer vector
+S(S+1)...(S+e-1) V.  Only the census root's vector is seeded by
+kalmar_macmahon.
 
 Everything in this module is exact; no floating point anywhere.
 """
@@ -109,23 +113,22 @@ def kalmar_powers(ks: Sequence[int], rooms: Sequence[int]) -> list[list[int]]:
     0^0 = 1: tau_0(h) = [h = 1]).  So the shift (S V)[k] = V[k+1]
     multiplies f by m, and S + c multiplies it by m + c.  A new prime power
     p^e multiplies tau_m by C(m+e-1, e) = m(m+1)...(m+e-1) / e!, so
-    K(h+e+1^j) = (S(S+1)...(S+e-1) ks)[j] / e!, an exact division.  The
-    siblings share one running product: U_1 = S ks, U_e = (S+e-1) U_{e-1},
-    one pass U[k+1] + (e-1) U[k] each.  U_e[j] reads ks up to index e + j,
-    so ks needs max(e + rooms[e-2]) + 1 entries; fewer raise
-    PreconditionError.
+    K(h+e+1^j) = V_e[j] with V_e = S(S+1)...(S+e-1) ks / e!.  Each sibling
+    steps from the one before: V_1 = S ks and V_e = (S+e-1) V_{e-1} / e,
+    one pass (V[k+1] + (e-1) V[k]) // e each.  The division is exact:
+    U_e = e! V_e is an integer vector with U_e = (S+e-1) U_{e-1}, so
+    (S+e-1) V_{e-1} = U_e / (e-1)! = e V_e.  V_e has len(ks) - e entries,
+    and child h+e takes the first rooms[e-2] + 1 of them; a room below 0
+    or past the end raises PreconditionError before anything is returned.
     """
-    need = max(map(add, rooms, range(2, len(rooms) + 2)), default=0) + 1
-    if need > len(ks) or min(rooms, default=0) < 0:
-        raise PreconditionError(f"need rooms >= 0 and {need} K values, got "
-                                f"rooms {list(rooms)} and {len(ks)} values")
     out = []
-    u = ks[1:need]                                      # S ks
-    f = 1                                               # e!
+    v = ks[1:]                                          # V_1 = S ks
     for e, r in enumerate(rooms, 2):
-        u = list(map(add, u[1:], map(mul, u, repeat(e - 1))))   # (S + e-1) U
-        f *= e
-        out.append(list(map(floordiv, u[:r + 1], repeat(f))))
+        v = list(map(floordiv, map(add, v[1:], map(mul, v, repeat(e - 1))), repeat(e)))
+        if not 0 <= r < len(v):
+            raise PreconditionError(f"child h+{e} needs room {r} in 0..{len(v) - 1}, "
+                                    f"from {len(ks)} K values")
+        out.append(v[:r + 1])
     return out
 
 

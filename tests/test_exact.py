@@ -240,6 +240,22 @@ def test_powers_closed_forms():
     assert ex.kalmar_powers(root, []) == []
 
 
+def test_powers_check_each_child():
+    # the check runs per child: here only the later sibling overruns ks
+    sig = (3, 2)
+    ks = [ex.kalmar_macmahon(sig + (1,) * k) for k in range(6)]
+    with pytest.raises(PreconditionError):
+        ex.kalmar_powers(ks[:5], [0, 2])             # h+3+1^2 reads K(h+1^5)
+    with pytest.raises(PreconditionError):
+        ex.kalmar_powers(ks, [1, 2, 1, -1])          # a later room below 0
+    for rooms in ([0, 2], [3, 0, 1], [0, 0, 0, 0], [2, 2, 1, 0]):
+        got = ex.kalmar_powers(ks, rooms)
+        assert [len(vec) for vec in got] == [r + 1 for r in rooms], rooms
+        for e, vec in enumerate(got, 2):
+            assert vec == [ex.kalmar_macmahon(sig + (e,) + (1,) * j)
+                           for j in range(len(vec))], (rooms, e)
+
+
 def test_macmahon_work_guard():
     cap = ex.MACMAHON_MAX_OMEGA
     assert ex.kalmar_macmahon((1,) * 4 + (cap - 4,)) > 0
