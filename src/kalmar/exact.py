@@ -20,9 +20,9 @@ kalmar_powers, the rising-factorial shift, gives the vectors of its
 children h+e from V.  Each child's vector comes from its previous
 sibling's in one short pass and one exact division by e:
 V_e = (S+e-1) V_{e-1} / e, where S shifts the index by one and
-V_1 = S V; the division is exact because e! V_e is the integer vector
-S(S+1)...(S+e-1) V.  Only the census root's vector is seeded by
-kalmar_macmahon.
+V_1 = S V.  The division is exact because every entry of V_e, as far as V
+reaches, is a count: V_e[j] = K(h+e+1^j), an integer, whatever the room.
+Only the census root's vector is seeded by kalmar_macmahon.
 
 Everything in this module is exact; no floating point anywhere.
 """
@@ -115,11 +115,13 @@ def kalmar_powers(ks: Sequence[int], rooms: Sequence[int]) -> list[list[int]]:
     p^e multiplies tau_m by C(m+e-1, e) = m(m+1)...(m+e-1) / e!, so
     K(h+e+1^j) = V_e[j] with V_e = S(S+1)...(S+e-1) ks / e!.  Each sibling
     steps from the one before: V_1 = S ks and V_e = (S+e-1) V_{e-1} / e,
-    one pass (V[k+1] + (e-1) V[k]) // e each.  The division is exact:
-    U_e = e! V_e is an integer vector with U_e = (S+e-1) U_{e-1}, so
-    (S+e-1) V_{e-1} = U_e / (e-1)! = e V_e.  V_e has len(ks) - e entries,
-    and child h+e takes the first rooms[e-2] + 1 of them; a room below 0
-    or past the end raises PreconditionError before anything is returned.
+    one pass (V[k+1] + (e-1) V[k]) // e each.  V_e[j] reads ks only up to
+    index j + e, so the identity holds for every j < len(ks) - e, past the
+    room too: each entry of V_{e-1} and of V_e is a K value, an integer.
+    As (S+e-1) V_{e-1} = e V_e, the floor division by e is exact.  V_e has
+    len(ks) - e entries, and child h+e takes the first rooms[e-2] + 1 of
+    them; a room below 0 or past the end raises PreconditionError before
+    anything is returned.
     """
     out = []
     v = ks[1:]                                          # V_1 = S ks

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -116,34 +116,22 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n by trial division up to _TRIAL_BOUND.
 
-    The trial primes stop at the first p with p^2 above what is left of n.
-    They are read from the shared list in stages, those up to 2^10 first,
-    and the next stage, 16 times further, is sieved only once every prime
-    of the last one has been tried.  A remainder above _TRIAL_BOUND**2 that
-    is not a probable prime is returned as a single composite pseudo-factor;
-    callers that need certainty should check is_prime on the parts.
+    A remainder above _TRIAL_BOUND**2 that is not a probable prime is returned
+    as a single composite pseudo-factor; callers that need certainty should
+    check is_prime on the parts.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: list[tuple[int, int]] = []
-    bound = min(_TRIAL_BOUND, math.isqrt(n) + 1)
-    done, limit = 0, 1 << 10
-    while True:
-        ps = primes_up_to(min(limit, bound))
-        for p in islice(ps, done, None) if done else ps:
-            if p * p > n:
-                break
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                out.append((p, e))
-        else:                               # every prime of this stage tried
-            if limit < bound:
-                done, limit = len(ps), 16 * limit
-                continue
-        break
+    for p in primes_up_to(min(_TRIAL_BOUND, math.isqrt(n) + 1)):
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
     if n > 1:
         out.append((n, 1))
     return out

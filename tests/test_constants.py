@@ -2,8 +2,6 @@
 
 import bisect
 import math
-import subprocess
-import sys
 
 import mpmath
 import pytest
@@ -66,33 +64,6 @@ def test_prime_cache_growth(monkeypatch):
         assert primes.primes_up_to(b) == upto(b), b
     for b, got in zip(grow, held):              # lists handed out never change
         assert got == upto(b), b
-
-
-# numbers around the trial stages (2^10, 2^14, 2^18 and the 10^6 bound), and
-# cofactors above 10^12: a prime, a product of two primes, a prime times 999983
-FACTORIZATIONS = {
-    1: [], 12: [(2, 2), (3, 1)], 2**60: [(2, 60)],
-    1021**2: [(1021, 2)], 1031**2: [(1031, 2)], 1021 * 16411: [(1021, 1), (16411, 1)],
-    16381**2: [(16381, 2)], 16411**2: [(16411, 2)],
-    262139 * 262147: [(262139, 1), (262147, 1)], 4194301: [(4194301, 1)],
-    999983**2: [(999983, 2)], 999983 * 1000003: [(999983, 1), (1000003, 1)],
-    1000003 * 1000033: [(1000036000099, 1)], 2**61 - 1: [(2**61 - 1, 1)],
-    (2**61 - 1) * 999983: [(999983, 1), (2**61 - 1, 1)],
-    3**40 * 1000003: [(3, 40), (1000003, 1)],
-    600851475143: [(71, 1), (839, 1), (1471, 1), (6857, 1)],
-}
-
-
-def test_factorize_sieves_only_what_it_reads():
-    # 2^60 is done at p = 3, so a fresh process sieves only the first stage
-    code = ("from kalmar import primes; primes.factorize(2**60); "
-            "print(primes._sieved_to)")
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                        timeout=60)
-    assert cp.returncode == 0, cp.stderr
-    assert int(cp.stdout) <= 1 << 10
-    for n, parts in FACTORIZATIONS.items():
-        assert primes.factorize(n) == parts, n
 
 
 def test_zeta_closed_forms():

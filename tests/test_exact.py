@@ -191,11 +191,13 @@ def test_tau_star_column_and_taus():
         assert ex.tau_star_column(a, 9) == [math.comb(a + m - 1, a) for m in range(1, 10)]
     assert ex.tau_star_column(3, 0) == []
     sig = (3, 2, 2)
-    ks = [ex.kalmar_macmahon(sig + (1,) * k) for k in range(4)]
+    ks = [ex.kalmar_macmahon(sig + (1,) * k) for k in range(6)]
     assert ex.kalmar_powers(ks, [1]) == [[ex.kalmar_macmahon(sig + (2,)),
                                           ex.kalmar_macmahon(sig + (2, 1))]]
     with pytest.raises(PreconditionError):
         ex.kalmar_powers(ks[:3], [1])              # h+2+1 reads K(h+1^3)
+    with pytest.raises(PreconditionError):
+        ex.kalmar_powers(ks[:5], [0, 2])           # only h+3+1^2 overruns: K(h+1^5)
 
 
 def census_heads(rng, count):
@@ -228,6 +230,8 @@ def test_powers_match_macmahon():
                            for j in range(r + 1)], (head, e)
     with pytest.raises(PreconditionError):
         ex.kalmar_powers([1, 1, 3], [-1])            # a room below 0
+    with pytest.raises(PreconditionError):
+        ex.kalmar_powers([1, 1, 3, 13, 75, 541], [1, 2, 1, -1])   # a later one
 
 
 def test_powers_closed_forms():
@@ -238,22 +242,6 @@ def test_powers_closed_forms():
     for e, (pe, peq) in enumerate(kids, 2):
         assert (pe, peq) == (2 ** (e - 1), (e + 2) * 2 ** (e - 1)), e
     assert ex.kalmar_powers(root, []) == []
-
-
-def test_powers_check_each_child():
-    # the check runs per child: here only the later sibling overruns ks
-    sig = (3, 2)
-    ks = [ex.kalmar_macmahon(sig + (1,) * k) for k in range(6)]
-    with pytest.raises(PreconditionError):
-        ex.kalmar_powers(ks[:5], [0, 2])             # h+3+1^2 reads K(h+1^5)
-    with pytest.raises(PreconditionError):
-        ex.kalmar_powers(ks, [1, 2, 1, -1])          # a later room below 0
-    for rooms in ([0, 2], [3, 0, 1], [0, 0, 0, 0], [2, 2, 1, 0]):
-        got = ex.kalmar_powers(ks, rooms)
-        assert [len(vec) for vec in got] == [r + 1 for r in rooms], rooms
-        for e, vec in enumerate(got, 2):
-            assert vec == [ex.kalmar_macmahon(sig + (e,) + (1,) * j)
-                           for j in range(len(vec))], (rooms, e)
 
 
 def test_macmahon_work_guard():
