@@ -40,7 +40,7 @@ ENV_CACHE = "KALMAR_CACHE"
 
 # --- formatting -------------------------------------------------------------
 
-def fmt_real(x: float, digits: int = 12) -> str:
+def fmt_real(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
 

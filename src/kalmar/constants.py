@@ -276,7 +276,7 @@ def truncated_constants(k: int) -> TruncatedConstants:
     return TruncatedConstants(k=k, rho_k=solve_rho(k), a_k=lagrange_scale(k))
 
 
-def prime_sum_check(sieve_bound: int = 10**7) -> dict[str, tuple[float, float]]:
+def prime_sum_check(sieve_bound: int) -> dict[str, tuple[float, float]]:
     """Independent sieve evaluation of the three infinite prime sums.
 
     Sums primes up to sieve_bound and adds a prime-number-theorem integral

@@ -210,9 +210,8 @@ def f_of(x: Sequence[float]) -> float:
 
 def sandwich_units(sig: Sequence[int]) -> tuple[float, float]:
     """(log lower unit, log upper unit) around log K for the exponents sig:
-    F - k - (1/2) sum log a_i and F - (k/2) log pi, k = len(sig).  They
-    bracket log K only with the constants C3', C4' that verify.check_sandwich
-    fits on small n; they are not bounds by themselves."""
+    F - k - (1/2) sum log a_i and F - (k/2) log pi, k = len(sig).  Shifted by
+    verify.LOG_C3 and LOG_C4 they bracket log K where measured; not proven."""
     f = f_of([float(a) for a in sig])
     k = len(sig)
     return (f - k - 0.5 * math.fsum(math.log(a) for a in sig),

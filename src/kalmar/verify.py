@@ -3,8 +3,8 @@
 Every check re-derives a documented property from scratch (brute force,
 finite differences, exhaustive small cases) and compares it against the
 production path.  The CLI subcommand `verify` runs the whole list; the
-acceptance tests call the same functions with their contract sizes.
-All randomness is seeded: repeated runs are identical.
+acceptance tests call the same functions with their contract sizes.  Each
+check takes only its size: seeds and fixed inputs are module constants.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _sig_codes(n_max: int) -> list[int]:
 # --------------------------------------------------------------------------
 # constants
 
-def check_constants_monotone(k_max: int = 1000) -> CheckResult:
+def check_constants_monotone(k_max: int) -> CheckResult:
     """rho_k strictly increasing below rho for all k, a_k strictly decreasing
     above a from k = 2 on (a_1 < a_2 is real: the k = 1 root sits at 1), and
     the root residual |zeta_k(rho_k) - 2| <= 1e-11 for every k."""
@@ -83,6 +83,15 @@ _TRUNCATED_TABLE = {
     100: (1.72658, 1.11279),
     1000: (1.72843, 1.10196),
 }
+# Seeds and fixed inputs: `verify` and `verify --fast` set only the sizes.
+SCALING_SEED, LIPSCHITZ_SEED, GRADIENTS_SEED = 2024, 2025, 2026
+HESSIAN_SEED, VALUE_RANGES_SEED, DEFICIT_SEED = 2027, 2028, 2029
+WITNESS_LOG_NS = tuple(range(50, 1001, 50))
+DIVISOR_K_MAX = 12
+CHAMPION_LAWS_X = 34560
+CENSUS_XS = (10, 100, 1000, 10_000)
+# The closed-form sandwich bracket: log C3' = log(e/2), log C4' = log(sqrt(pi)/2)
+LOG_C3, LOG_C4 = math.log(math.e / 2), math.log(math.sqrt(math.pi) / 2)
 
 
 def check_truncated_table() -> CheckResult:
@@ -97,7 +106,7 @@ def check_truncated_table() -> CheckResult:
 # --------------------------------------------------------------------------
 # exact K
 
-def check_triple_oracle(omega_max: int = 12) -> CheckResult:
+def check_triple_oracle(omega_max: int) -> CheckResult:
     """MacMahon == recursion, series bracket containment, K_P <= K, for every
     signature with Omega <= omega_max."""
     n_sigs = 0
@@ -116,7 +125,7 @@ def check_triple_oracle(omega_max: int = 12) -> CheckResult:
     return CheckResult("triple_oracle", True, f"{n_sigs} signatures, three methods agree")
 
 
-def check_eulerian(n_max: int = 120) -> CheckResult:
+def check_eulerian(n_max: int) -> CheckResult:
     for n in list(range(1, n_max + 1)) + [200]:
         ex.eulerian_checksum(n)         # raises on mismatch
     return CheckResult("eulerian_identity", True, f"n <= {n_max} and n = 200")
@@ -128,7 +137,7 @@ def _defect(rho: float, log_n: float, log_k: float) -> float:
     return (rho * log_n - log_k) * math.log(log_n) / log_n ** (1 / rho)
 
 
-def check_growth_laws(n_max: int = 100_000) -> CheckResult:
+def check_growth_laws(n_max: int) -> CheckResult:
     """K(2n) > K(n), 2 K(n) <= n^rho, log K(n) <= rho log n, all n in range;
     also reports the positive envelope of rho log n - log K(n): the minimum
     over 16 <= n <= n_max of D(n) = (rho log n - log K(n)) log log n /
@@ -185,7 +194,7 @@ def _product_codes(n: int, codes: list[int]) -> Iterator[int]:
         yield code + codes[r]
 
 
-def check_supermultiplicative(n_max: int = 2000) -> CheckResult:
+def check_supermultiplicative(n_max: int) -> CheckResult:
     """K(n n') >= 2 K(n) K(n') for 2 <= n <= n' <= n_max."""
     codes = _sig_codes(n_max)
     ktab = {code: ex.kalmar_macmahon(_code_sig(code)) for code in set(codes)}
@@ -208,9 +217,9 @@ def _random_vector(rng: random.Random) -> list[float]:
     return [rng.uniform(1e-3, 4.0) for _ in range(rng.randint(1, 20))]
 
 
-def check_scaling(samples: int = 1000, seed: int = 2024) -> CheckResult:
+def check_scaling(samples: int) -> CheckResult:
     """c(lambda x) = lambda c(x) to 1e-12 relative."""
-    rng = random.Random(seed)
+    rng = random.Random(SCALING_SEED)
     worst = 0.0
     for _ in range(samples):
         x = _random_vector(rng)
@@ -220,9 +229,9 @@ def check_scaling(samples: int = 1000, seed: int = 2024) -> CheckResult:
     return CheckResult("c_scaling", worst <= 1e-12, f"worst relative {worst:.2e}")
 
 
-def check_lipschitz(pairs: int = 10_000, seed: int = 2025) -> CheckResult:
+def check_lipschitz(pairs: int) -> CheckResult:
     """|c(x')-c(x)| <= 2||x'-x|| and |T(x')-T(x)| <= 3||x'-x||/max(Om,Om')."""
-    rng = random.Random(seed)
+    rng = random.Random(LIPSCHITZ_SEED)
     for _ in range(pairs):
         n = rng.randint(1, 20)
         x = [rng.uniform(0.0, 4.0) for _ in range(n)]
@@ -239,10 +248,10 @@ def check_lipschitz(pairs: int = 10_000, seed: int = 2025) -> CheckResult:
     return CheckResult("lipschitz", True, f"{pairs} random pairs, lengths <= 20")
 
 
-def check_gradients(points: int = 1000, seed: int = 2026) -> CheckResult:
+def check_gradients(points: int) -> CheckResult:
     """grad_c and grad_f vs central differences, step 1e-6 max(1, x_i),
     to 1e-6 relative on every coordinate."""
-    rng = random.Random(seed)
+    rng = random.Random(GRADIENTS_SEED)
     worst = 0.0
     for _ in range(points):
         n = rng.randint(1, 8)
@@ -262,9 +271,9 @@ def check_gradients(points: int = 1000, seed: int = 2026) -> CheckResult:
                        f"{points} points, worst relative {worst:.2e}")
 
 
-def check_hessian(pairs: int = 10_000, seed: int = 2027) -> CheckResult:
+def check_hessian(pairs: int) -> CheckResult:
     """Quadratic form of F'' is <= 1e-12 on random (x, h)."""
-    rng = random.Random(seed)
+    rng = random.Random(HESSIAN_SEED)
     worst = -float("inf")
     for _ in range(pairs):
         n = rng.randint(1, 8)
@@ -274,10 +283,10 @@ def check_hessian(pairs: int = 10_000, seed: int = 2027) -> CheckResult:
     return CheckResult("hessian_concavity", worst <= 1e-12, f"max form value {worst:.2e}")
 
 
-def check_value_ranges(samples: int = 2000, seed: int = 2028) -> CheckResult:
+def check_value_ranges(samples: int) -> CheckResult:
     """Omega <= c <= Omega/log 2, T in [1/2,1], B in [sqrt(2c), 2 sqrt(c)],
     grad_c in [0,2]; prefix values c(x_1..x_k) increase to c(x)."""
-    rng = random.Random(seed)
+    rng = random.Random(VALUE_RANGES_SEED)
     for _ in range(samples):
         x = _random_vector(rng)
         pt = ev.evans_point(x)
@@ -294,7 +303,7 @@ def check_value_ranges(samples: int = 2000, seed: int = 2028) -> CheckResult:
     return CheckResult("value_ranges", True, f"{samples} random vectors")
 
 
-def check_ratio_extremes(omega_max: int = 12) -> CheckResult:
+def check_ratio_extremes(omega_max: int) -> CheckResult:
     rows = ev.ratio_scan(omega_max)     # raises if an extreme moves
     r1 = rows[0].min_ratio
     ok = abs(r1 - math.e / math.sqrt(2 * math.pi)) < 1e-12 and abs(r1 - 1.084437552) < 1e-8
@@ -302,28 +311,20 @@ def check_ratio_extremes(omega_max: int = 12) -> CheckResult:
                        f"r <= {omega_max}; ratio at (1) = {r1:.10f}")
 
 
-def check_sandwich(n_max: int = 100_000) -> CheckResult:
-    """exp(F)/(e^k sqrt(prod a)) and exp(F)/pi^(k/2) bracket K with fitted
-    constants over every signature realized below n_max: C3' and C4' are the
-    extremes of K over the lower and upper unit (they scale different units
-    and are not comparable to each other).  The fitted values have closed
-    forms: C3' = e/2, reached only at the signature (1,), and
-    C4' = sqrt(pi)/2, reached at every prime power, where K(p^a) = 2^(a-1).
-
-    The violations are counted over the same signatures that C3' and C4' are
-    fitted on, so violations=0 holds by construction and says nothing about
-    n above n_max.  The closed forms' one test out of sample is in
-    check_witness_sweep: they must bracket the exact K of the witness, which
-    the default sweep computes only at log n = 50 (Omega <= WITNESS_EXACT_OMEGA)."""
+def check_sandwich(n_max: int) -> CheckResult:
+    """The closed-form bracket (e/2) e^F/(e^k sqrt(prod a)) <= K <=
+    (sqrt(pi)/2) e^F/pi^(k/2), to 1e-9 in log K, over every signature below
+    n_max.  Also prints the fitted C3' and C4', the extremes of K over the two
+    units: e/2 only at (1,), sqrt(pi)/2 at every prime power (K(p^a) = 2^(a-1)).
+    The closed forms were read off these signatures, so this test is in
+    sample; check_witness_sweep tests the same bracket at the witnesses."""
     points = [(math.log(c.k_value), *ev.sandwich_units(c.signature))
               for c in ch.enumerate_candidates(n_max) if c.value > 1]
     c3 = min((math.exp(logk - lo_u) for logk, lo_u, _ in points), default=float("inf"))
     c4 = max((math.exp(logk - hi_u) for logk, _, hi_u in points), default=0.0)
-    violations = sum(
-        not math.log(c3) + lo_u - 1e-9 <= logk <= math.log(c4) + hi_u + 1e-9
-        for logk, lo_u, hi_u in points)
-    ok = violations == 0 and c3 > 0.0 and c4 > 0.0
-    return CheckResult("sandwich", ok,
+    violations = sum(not LOG_C3 + lo_u - 1e-9 <= logk <= LOG_C4 + hi_u + 1e-9
+                     for logk, lo_u, hi_u in points)
+    return CheckResult("sandwich", violations == 0 and bool(points),
                        f"{len(points)} signatures <= {n_max}; fitted "
                        f"C3'={c3:.6f}, C4'={c4:.6f}, violations={violations}")
 
@@ -339,8 +340,8 @@ def check_optimum_grid() -> CheckResult:
     return CheckResult("optimum_identities", True, "k in {1,2,3,10,100,1000} x A in {1,10,1e3,1e6}")
 
 
-def check_deficit(samples: int = 10_000, seed: int = 2029) -> CheckResult:
-    rng = random.Random(seed)
+def check_deficit(samples: int) -> CheckResult:
+    rng = random.Random(DEFICIT_SEED)
     worst = float("inf")
     for _ in range(samples):
         k = rng.randint(2, 20)
@@ -354,15 +355,14 @@ def check_deficit(samples: int = 10_000, seed: int = 2029) -> CheckResult:
                        f"{samples} random domain points, min slack {worst:.3e}")
 
 
-def check_witness_sweep(log_ns=tuple(range(50, 1001, 50))) -> CheckResult:
-    """Witness construction over the sweep: ratio in [1,2), floor property,
-    bounded defect envelope (rho log n - log K)(log log n)/(log n)^(1/rho);
-    wherever K(m) is exact it must sit inside the two-sided bracket with the
-    closed-form constants C3' = e/2 and C4' = sqrt(pi)/2."""
+def check_witness_sweep() -> CheckResult:
+    """Witness construction at each log n of WITNESS_LOG_NS: ratio in [1,2),
+    floor property, bounded defect envelope D (see _defect).  Where K(m) is
+    exact (in this sweep, at log n = 50 only) it must sit, with no slack,
+    inside check_sandwich's closed-form bracket: its one test out of sample."""
     rho = cn.solve_rho()
-    log_c3, log_c4 = math.log(math.e / 2), math.log(math.sqrt(math.pi) / 2)
     env_max = 0.0
-    for ln in log_ns:
+    for ln in WITNESS_LOG_NS:
         w = op.witness_m(float(ln))
         if not all(int(x) <= e <= int(x) + 1 for x, e in zip(w.x_star, w.exponents)):
             return CheckResult("witness_sweep", False, f"floor property fails at {ln}")
@@ -370,19 +370,20 @@ def check_witness_sweep(log_ns=tuple(range(50, 1001, 50))) -> CheckResult:
             return CheckResult("witness_sweep", False, f"ratio {w.ratio_n_over_m} at {ln}")
         if w.exact:
             lo_u, hi_u = ev.sandwich_units(w.exponents)
-            if not log_c3 + lo_u <= w.log_k_lower <= log_c4 + hi_u:
+            if not LOG_C3 + lo_u <= w.log_k_lower <= LOG_C4 + hi_u:
                 return CheckResult("witness_sweep", False,
                                    f"exact K(m) escapes the sandwich bracket at {ln}")
         env_max = max(env_max, _defect(rho, ln, w.log_k_lower))
     return CheckResult("witness_sweep", True,
-                       f"log n in {log_ns[0]}..{log_ns[-1]}; defect envelope C6' <= {env_max:.3f}")
+                       f"log n in {WITNESS_LOG_NS[0]}..{WITNESS_LOG_NS[-1]}; "
+                       f"defect envelope C6' <= {env_max:.3f}")
 
 
-def check_divisor_search(k_max: int = 12) -> CheckResult:
+def check_divisor_search() -> CheckResult:
     """Meet-in-the-middle vs exhaustive subset products, and the chain law
-    d_{i+1} <= 2 d_i on the sorted divisors."""
+    d_{i+1} <= 2 d_i on the sorted divisors, for k <= DIVISOR_K_MAX."""
     rng = random.Random(2030)
-    for k in range(1, k_max + 1):
+    for k in range(1, DIVISOR_K_MAX + 1):
         ps = first_primes(k)
         divs = [1]
         for p in ps:
@@ -395,13 +396,13 @@ def check_divisor_search(k_max: int = 12) -> CheckResult:
             want = max(d for d in divs if d <= bound)
             if op.largest_divisor_leq(k, bound) != want:
                 return CheckResult("divisor_search", False, f"k={k} bound={bound}")
-    return CheckResult("divisor_search", True, f"k <= {k_max} vs exhaustive enumeration")
+    return CheckResult("divisor_search", True, f"k <= {DIVISOR_K_MAX} vs exhaustive enumeration")
 
 
 # --------------------------------------------------------------------------
 # champions
 
-def check_champion_small_oracle(x: int = 10_000) -> CheckResult:
+def check_champion_small_oracle(x: int) -> CheckResult:
     """Champions from the structured enumeration equal champions from brute
     force K(n) over every n <= x (via the divisor recursion)."""
     codes = _sig_codes(x)
@@ -419,26 +420,26 @@ def check_champion_small_oracle(x: int = 10_000) -> CheckResult:
                        else f"mismatch: {mine[:5]} vs {brute[:5]}")
 
 
-def check_champion_laws(x: int = 34560) -> CheckResult:
-    records = ch.find_champions(x)
+def check_champion_laws() -> CheckResult:
+    records = ch.find_champions(CHAMPION_LAWS_X)
     rep = ch.verify_champion_laws(records)
-    again = [(r.candidate.value, r.candidate.k_value) for r in ch.find_champions(x)]
+    again = [(r.candidate.value, r.candidate.k_value) for r in ch.find_champions(CHAMPION_LAWS_X)]
     deterministic = again == [(r.candidate.value, r.candidate.k_value) for r in records]
     ok = rep.ok and deterministic
     return CheckResult("champion_laws", ok,
-                       f"{len(records)} records at x={x}; " +
+                       f"{len(records)} records at x={CHAMPION_LAWS_X}; " +
                        ("all laws hold" if rep.ok else "; ".join(rep.violations[:3])))
 
 
-def check_census_monotone(xs=(10, 100, 1000, 10_000)) -> CheckResult:
-    """Q(X) non-decreasing and prefix-consistent across nested bounds."""
+def check_census_monotone() -> CheckResult:
+    """Q(X) non-decreasing and prefix-consistent across the bounds CENSUS_XS."""
     prev: list[tuple[int, int]] = []
-    for x in xs:
+    for x in CENSUS_XS:
         cur = [(r.candidate.value, r.candidate.k_value) for r in ch.find_champions(x)]
         if cur[: len(prev)] != prev or len(cur) < len(prev):
             return CheckResult("census_monotone", False, f"prefix breaks at x={x}")
         prev = cur
-    return CheckResult("census_monotone", True, f"nested bounds {xs}")
+    return CheckResult("census_monotone", True, f"nested bounds {CENSUS_XS}")
 
 
 # --------------------------------------------------------------------------

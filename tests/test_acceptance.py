@@ -266,7 +266,7 @@ def test_criterion_8_analysis_kernel():
 def test_criterion_9_optimizer():
     grid = vf.check_optimum_grid()
     deficit = vf.check_deficit(10_000)
-    witness = vf.check_witness_sweep(tuple(range(50, 1001, 50)))
+    witness = vf.check_witness_sweep()
     ok = grid.ok and deficit.ok and witness.ok
     _report("9", ok, f"{grid.detail}; {deficit.detail}; {witness.detail}")
     for res in (grid, deficit, witness):

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, reproducibility."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import zlib
 import pytest
 
 from kalmar import exact as ex
+from kalmar import verify as vf
 from kalmar.cli import dispatch
 
 
@@ -258,6 +260,13 @@ def test_options_only_where_read():
         assert "unrecognized arguments" in cp.stderr, cp.stderr
 
 
+def test_checks_take_only_their_size():
+    # the same rule for verify: seeds and fixed inputs are module constants,
+    # so a check's one parameter, if any, is the size that --fast shrinks
+    for name in [a for a in vars(vf) if a.startswith("check_")]:
+        assert len(inspect.signature(getattr(vf, name)).parameters) <= 1, name
+
+
 def test_sieve_bound_env_var_ignored():
     cp = run_cli("k", "--n", "12", env={"KALMAR_SIEVE_BOUND": "5"})
     assert cp.returncode == 0 and cp.stdout == "8\n", cp.stderr
@@ -304,7 +313,7 @@ def test_deficit_near_float_limit():
     cp = run_cli("deficit", "--signature", "3,2,1", "--A", "1e308")
     assert cp.returncode == 0, cp.stderr
     values = dict(line.split() for line in cp.stdout.splitlines()[1:])
-    assert values["F_star"] == fmt_real(solve_rho(3) * 1e308)
+    assert values["F_star"] == fmt_real(solve_rho(3) * 1e308, 12)
     assert all(v not in ("inf", "nan") for v in values.values())
 
 

@@ -114,8 +114,9 @@ def test_grad_f():
         ev.grad_f([1.0, 0.0], 1)
 
 
-def test_gradients_match_finite_differences():
-    res = vf.check_gradients(120, seed=99)
+def test_gradients_match_finite_differences(monkeypatch):
+    monkeypatch.setattr(vf, "GRADIENTS_SEED", 99)
+    res = vf.check_gradients(120)
     assert res.ok, res.detail
 
 
@@ -168,8 +169,9 @@ def test_stirling():
         assert math.sqrt(2 * math.pi * x) <= s <= math.e * math.sqrt(x)
 
 
-def test_lipschitz_bounds():
-    res = vf.check_lipschitz(1500, seed=123)
+def test_lipschitz_bounds(monkeypatch):
+    monkeypatch.setattr(vf, "LIPSCHITZ_SEED", 123)
+    res = vf.check_lipschitz(1500)
     assert res.ok, res.detail
 
 
@@ -280,3 +282,12 @@ def test_sandwich_closed_forms():
         assert math.exp(math.log(k) - hi_u) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12), a
     lo_u, _ = ev.sandwich_units((1,))
     assert math.exp(-lo_u) == pytest.approx(math.e / 2, rel=1e-12)
+
+
+def test_sandwich_check_can_fail(monkeypatch):
+    # check_sandwich counts violations against the closed forms, not against
+    # constants refitted on its own points, so raised lower units must show
+    units = ev.sandwich_units
+    monkeypatch.setattr(ev, "sandwich_units", lambda sig: (units(sig)[0] + 0.5, units(sig)[1]))
+    res = vf.check_sandwich(10_000)
+    assert not res.ok and "violations=0" not in res.detail, res.detail

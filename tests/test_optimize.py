@@ -66,8 +66,9 @@ def test_deficit_interior_point():
     assert rep.bound <= rep.bound_weak       # squared-sum form is stronger
 
 
-def test_deficit_random_harness():
-    res = vf.check_deficit(800, seed=4)
+def test_deficit_random_harness(monkeypatch):
+    monkeypatch.setattr(vf, "DEFICIT_SEED", 4)
+    res = vf.check_deficit(800)
     assert res.ok, res.detail
 
 
@@ -104,8 +105,9 @@ def test_largest_divisor_examples():
     assert op.largest_divisor_leq(3, 29.999) == 15
 
 
-def test_largest_divisor_exhaustive():
-    res = vf.check_divisor_search(10)
+def test_largest_divisor_exhaustive(monkeypatch):
+    monkeypatch.setattr(vf, "DIVISOR_K_MAX", 10)
+    res = vf.check_divisor_search()
     assert res.ok, res.detail
 
 
@@ -156,12 +158,13 @@ def test_witness_monotone_growth():
         prev = w.log_k_lower
 
 
-def test_witness_sweep_invariants():
-    res = vf.check_witness_sweep(tuple(range(50, 501, 50)))
+def test_witness_sweep_invariants(monkeypatch):
+    monkeypatch.setattr(vf, "WITNESS_LOG_NS", tuple(range(50, 501, 50)))
+    res = vf.check_witness_sweep()
     assert res.ok, res.detail
 
 
-def test_witness_defect_normalization():
+def test_witness_defect_normalization(monkeypatch):
     # D = (rho log n - log K(m)) log log n / (log n)^(1/rho), by hand, for
     # the witness at log n = 50, whose K(m) is exact
     log_n = 50.0
@@ -170,7 +173,8 @@ def test_witness_defect_normalization():
     log_k = math.log(ex.kalmar_macmahon(w.m_signature))
     rho = cn.solve_rho()
     d = (rho * log_n - log_k) * math.log(log_n) / log_n ** (1.0 / rho)
-    res = vf.check_witness_sweep((50,))
+    monkeypatch.setattr(vf, "WITNESS_LOG_NS", (50,))
+    res = vf.check_witness_sweep()
     assert res.ok, res.detail
     assert res.detail.endswith(f"C6' <= {d:.3f}"), (res.detail, d)
     assert 5.0 < d < 6.0
