@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, NamedTuple
+from bisect import bisect_right
+from itertools import compress, islice, repeat, tee
+from operator import add, gt, le, lt, mul, sub, truediv
+from typing import NamedTuple
 
 from . import champions as ch
 from . import constants as cn
 from . import evans as ev
 from . import exact as ex
 from . import optimize as op
-from .primes import first_primes
+from .primes import factorize, first_primes
 
 __all__ = ["CheckResult", "full_suite"]
 
@@ -30,9 +33,11 @@ class CheckResult(NamedTuple):
 
 
 def _sig_codes(n_max: int) -> list[int]:
-    """codes[n] = _sig_code(signature of n) for 1 <= n <= n_max, from a
-    smallest-prime-factor sieve: with p = spf(n) and p^e exactly dividing n,
-    codes[n] = codes[n / p^e] + _sig_code((e,)).  codes[0] is 0 and unused."""
+    """codes[n] = the code of n's signature, the integer whose byte e counts
+    the exponents equal to e, for 1 <= n <= n_max (exact while fewer than 256
+    primes share an exponent; the code of a product of coprime factors is the
+    sum of their codes).  From a smallest-prime-factor sieve: with p = spf(n)
+    and p^e exactly dividing n, codes[n] = codes[n / p^e] + (1 << 8e)."""
     spf = list(range(n_max + 1))
     for i in range(2, math.isqrt(n_max) + 1):
         if spf[i] == i:
@@ -46,7 +51,7 @@ def _sig_codes(n_max: int) -> list[int]:
         while m % p == 0:
             m, e = m // p, e + 1
         codes[n] = codes[m] + (1 << 8 * e)
-    return codes
+    return list(map({}.setdefault, codes, codes))   # one int object per distinct code
 
 
 # --------------------------------------------------------------------------
@@ -86,6 +91,7 @@ _TRUNCATED_TABLE = {
 # Seeds and fixed inputs: `verify` and `verify --fast` set only the sizes.
 SCALING_SEED, LIPSCHITZ_SEED, GRADIENTS_SEED = 2024, 2025, 2026
 HESSIAN_SEED, VALUE_RANGES_SEED, DEFICIT_SEED = 2027, 2028, 2029
+DIVISOR_SEED = 2030
 WITNESS_LOG_NS = tuple(range(50, 1001, 50))
 DIVISOR_K_MAX = 12
 CHAMPION_LAWS_X = 34560
@@ -132,8 +138,8 @@ def check_eulerian(n_max: int) -> CheckResult:
 
 
 def _defect(rho: float, log_n: float, log_k: float) -> float:
-    """D(n) = (rho log n - log K(n)) log log n / (log n)^(1/rho), from log n
-    and log K(n): the defect envelope of growth_laws and witness_sweep."""
+    """D(n) = (rho log n - log K(n)) log log n / (log n)^(1/rho), the defect
+    envelope of witness_sweep; growth_laws repeats it row-wise, op for op."""
     return (rho * log_n - log_k) * math.log(log_n) / log_n ** (1 / rho)
 
 
@@ -142,71 +148,65 @@ def check_growth_laws(n_max: int) -> CheckResult:
     also reports the positive envelope of rho log n - log K(n): the minimum
     over 16 <= n <= n_max of D(n) = (rho log n - log K(n)) log log n /
     (log n)^(1/rho), printed as "c5' >= ...".  It is a sampled minimum, not
-    a proven constant C5 of the upper bound for all n."""
+    a proven constant C5 of the upper bound for all n.  Each is one pass over
+    n = 2..n_max; where both laws fail first at one n, K(2n) <= K(n) is named."""
     rho = cn.solve_rho()
-    codes = _sig_codes(2 * n_max)
-    ktab = {code: ex.kalmar_macmahon(_code_sig(code)) for code in set(codes)}
-    env_min = float("inf")
-    for n in range(2, n_max + 1):
-        kn = ktab[codes[n]]
-        if ktab[codes[2 * n]] <= kn:
-            return CheckResult("growth_laws", False, f"K(2n) <= K(n) at n={n}")
-        logk = math.log(kn)
-        if logk > rho * math.log(n) - math.log(2.0):
-            return CheckResult("growth_laws", False, f"2K(n) > n^rho at n={n}")
-        if n >= 16:
-            env_min = min(env_min, _defect(rho, math.log(n), logk))
-    ok = env_min > 0.0
-    return CheckResult("growth_laws", ok,
+    codes, ktab, ns = _sig_codes(n_max), _KTable(), range(2, n_max + 1)
+    kn = list(map(ktab.__getitem__, codes))[2:]
+    k2n = map(ktab.__getitem__, _product_row(2, codes))
+    doubling = next(compress(ns, map(le, k2n, kn)), math.inf)
+    bound = map(sub, map(mul, repeat(rho), map(math.log, ns)), repeat(math.log(2.0)))
+    hille = next(compress(ns, map(gt, map(math.log, kn), bound)), math.inf)
+    if min(doubling, hille) <= n_max:
+        return CheckResult("growth_laws", False, f"K(2n) <= K(n) at n={doubling}"
+                           if doubling <= hille else f"2K(n) > n^rho at n={hille}")
+    log_n = tee(map(math.log, ns[14:]), 3)      # read in step: no float list is kept
+    gap = map(sub, map(mul, repeat(rho), log_n[0]), map(math.log, islice(kn, 14, None)))
+    env = map(truediv, map(mul, gap, map(math.log, log_n[1])), map(pow, log_n[2], repeat(1 / rho)))
+    env_min = min(env, default=math.inf)
+    return CheckResult("growth_laws", env_min > 0.0,
                        f"n <= {n_max}; defect envelope c5' >= {env_min:.4f}")
 
 
-def _sig_code(sig) -> int:
-    """A signature as one integer whose byte e counts the exponents equal to
-    e.  Exact while fewer than 256 primes share an exponent; then the code
-    of a product of coprime factors is the sum of their codes."""
-    return sum(1 << 8 * e for e in sig)
-
-
 def _code_sig(code: int) -> tuple[int, ...]:
-    """The signature that _sig_code maps to code."""
+    """The signature whose code (see _sig_codes) is code."""
     sig: list[int] = []
     for e in range(code.bit_length() // 8, 0, -1):
         sig += [e] * (code >> 8 * e & 255)
     return tuple(sig)
 
 
-def _product_codes(n: int, codes: list[int]) -> Iterator[int]:
-    """Signature codes of n m for n <= m < len(codes).  With a the part of m
-    on n's primes, n m = (n a)(m/a) and m/a is coprime to n a, so the code
-    is code(n a) + codes[m/a]: one factorization per distinct a, a few per n."""
-    head = {1: codes[n]}
-    for m in range(n, len(codes)):
-        r = m
-        g = math.gcd(m, n)
-        while g > 1:
-            r //= g
-            g = math.gcd(r, g)
-        a = m // r
-        code = head.get(a)
-        if code is None:
-            code = head[a] = _sig_code(ex.signature_of(n * a))
-        yield code + codes[r]
+class _KTable(dict):
+    """K by signature code: MacMahon's formula runs once per new code."""
+    def __missing__(self, code: int) -> int:
+        k = self[code] = ex.kalmar_macmahon(_code_sig(code))
+        return k
+
+
+def _product_row(n: int, codes: list[int]) -> list[int]:
+    """Codes of n m for n <= m < len(codes): codes[n] + codes[m], and on each
+    p^a exactly dividing n and multiple m of p the exponent merge (1 << 8(a+b))
+    - (1 << 8a) - (1 << 8b), b = v_p(m), summed over the multiples of p^b."""
+    row = list(map(add, repeat(codes[n]), codes[n:]))
+    for p, a in factorize(n):
+        q, b, prev = p, 1, 0
+        while q < len(codes):
+            fix = (1 << 8 * (a + b)) - (1 << 8 * a) - (1 << 8 * b)
+            row[-n % q::q] = map(add, repeat(fix - prev), row[-n % q::q])
+            q, b, prev = q * p, b + 1, fix
+    return row
 
 
 def check_supermultiplicative(n_max: int) -> CheckResult:
-    """K(n n') >= 2 K(n) K(n') for 2 <= n <= n' <= n_max."""
-    codes = _sig_codes(n_max)
-    ktab = {code: ex.kalmar_macmahon(_code_sig(code)) for code in set(codes)}
-    k_of = [ktab[code] for code in codes]
+    """K(n n') >= 2 K(n) K(n') for 2 <= n <= n' <= n_max, one pass per row n."""
+    codes, ktab = _sig_codes(n_max), _KTable()
+    k_of = list(map(ktab.__getitem__, codes))
     for n in range(2, n_max + 1):
-        kn2 = 2 * k_of[n]
-        for m, code in enumerate(_product_codes(n, codes), n):
-            knm = ktab.get(code)
-            if knm is None:
-                knm = ktab[code] = ex.kalmar_macmahon(_code_sig(code))
-            if knm < kn2 * k_of[m]:
-                return CheckResult("supermultiplicative", False, f"fails at ({n},{m})")
+        knm = map(ktab.__getitem__, _product_row(n, codes))
+        bad = map(lt, knm, map(mul, repeat(2 * k_of[n]), k_of[n:]))
+        m = next(compress(range(n, n_max + 1), bad), None)
+        if m is not None:
+            return CheckResult("supermultiplicative", False, f"fails at ({n},{m})")
     return CheckResult("supermultiplicative", True, f"all pairs 2 <= n <= n' <= {n_max}")
 
 
@@ -382,18 +382,17 @@ def check_witness_sweep() -> CheckResult:
 def check_divisor_search() -> CheckResult:
     """Meet-in-the-middle vs exhaustive subset products, and the chain law
     d_{i+1} <= 2 d_i on the sorted divisors, for k <= DIVISOR_K_MAX."""
-    rng = random.Random(2030)
+    rng = random.Random(DIVISOR_SEED)
     for k in range(1, DIVISOR_K_MAX + 1):
-        ps = first_primes(k)
         divs = [1]
-        for p in ps:
+        for p in first_primes(k):
             divs += [d * p for d in divs]
         divs.sort()
         if any(divs[i + 1] > 2 * divs[i] for i in range(len(divs) - 1)):
             return CheckResult("divisor_search", False, f"chain law fails at k={k}")
         for _ in range(40):
             bound = rng.randint(1, divs[-1] + 3)
-            want = max(d for d in divs if d <= bound)
+            want = divs[bisect_right(divs, bound) - 1]
             if op.largest_divisor_leq(k, bound) != want:
                 return CheckResult("divisor_search", False, f"k={k} bound={bound}")
     return CheckResult("divisor_search", True, f"k <= {DIVISOR_K_MAX} vs exhaustive enumeration")

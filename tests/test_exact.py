@@ -319,13 +319,29 @@ def test_supermultiplicativity_small():
 
 
 def test_product_signature_codes():
-    # verify's supermultiplicative check gets sig(n m) as code(n a) + code(m/a)
+    # verify's pair and growth checks get sig(n m) as codes[n] + codes[m] and
+    # an exponent merge on the multiples of each prime of n
     codes = vf._sig_codes(200)
     for n in range(2, 201):
-        got = [vf._code_sig(code) for code in vf._product_codes(n, codes)]
+        got = [vf._code_sig(code) for code in vf._product_row(n, codes)]
         assert got == [ex.signature_of(n * m) for m in range(n, 201)], n
-    assert vf._code_sig(vf._sig_code((9, 3, 3, 1))) == (9, 3, 3, 1)
-    assert vf._sig_code(()) == 0 and vf._code_sig(0) == ()
+    assert vf._code_sig(sum(1 << 8 * e for e in (9, 3, 3, 1))) == (9, 3, 3, 1)
+    assert codes[1] == 0 and vf._code_sig(0) == ()
+
+
+@pytest.mark.parametrize("check, size, fake, detail", [
+    # K(12) = 5 < 2 K(2) K(6) = 6 is the first pair in row order
+    ("supermultiplicative", 50, lambda sig, k: 5 if sig == (2, 1) else k, "fails at (2,6)"),
+    ("growth_laws", 100, lambda sig, k: 1 if sig == (2,) else k, "K(2n) <= K(n) at n=2"),
+    # 2 K(8) = 800 > 8^rho while K(16) = 800 > K(8): only the power bound fails
+    ("growth_laws", 100, lambda sig, k: 100 * k if sum(sig) >= 3 else k, "2K(n) > n^rho at n=8"),
+    # both laws fail first at n = 8: the K(2n) law is named
+    ("growth_laws", 100, lambda sig, k: 100 * k if sum(sig) == 3 else k, "K(2n) <= K(n) at n=8"),
+], ids=["pair", "doubling", "power", "both"])
+def test_inequality_checks_name_first_failure(monkeypatch, check, size, fake, detail):
+    real = ex.kalmar_macmahon
+    monkeypatch.setattr(ex, "kalmar_macmahon", lambda sig: fake(tuple(sig), real(sig)))
+    assert getattr(vf, f"check_{check}")(size) == (check, False, detail)
 
 
 def test_power_bound_small():

@@ -111,6 +111,12 @@ def test_largest_divisor_exhaustive(monkeypatch):
     assert res.ok, res.detail
 
 
+def test_divisor_search_names_first_failure(monkeypatch):
+    # the first seeded bound above 1 is 3, at k = 1
+    monkeypatch.setattr(op, "largest_divisor_leq", lambda k, bound: 1)
+    assert vf.check_divisor_search() == ("divisor_search", False, "k=1 bound=3")
+
+
 def test_largest_divisor_errors():
     with pytest.raises(DomainError):
         op.largest_divisor_leq(0, 5)
